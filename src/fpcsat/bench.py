@@ -1,10 +1,11 @@
-"""Scaling-study harness: runtime and peak tree size versus variable count.
+"""Scaling-study harness: runtime and peak frontier size versus variable count.
 
 Records are bit-reproducible given (family, params, seed).  To keep that
-true, per-instance time is *deterministic effort time*: the solver's pointer
-visit count divided by a fixed conversion rate, and the timeout budget is
-enforced in the same units.  Wall-clock noise therefore never reaches the
-CSV; wall time for a whole run is reported separately on the error stream.
+true, per-instance time is *deterministic effort time*: the number of
+frontier entries the solver scanned divided by a fixed conversion rate, and
+the timeout budget is enforced in the same units.  Wall-clock noise
+therefore never reaches the CSV; wall time for a whole run is reported
+separately on the error stream.
 """
 
 from __future__ import annotations
@@ -20,11 +21,11 @@ from .core import variables_of
 from .instances import complete_minus_one, pigeonhole, random_3sat
 from .solver import RESOURCE_EXCEEDED, SolveConfig, check_sat
 
-# fixed effort-to-time conversion: pointer visits per virtual millisecond.
-# Calibrated once to the rough throughput of the pure-Python tree walk so
-# virtual milliseconds land near wall milliseconds on commodity hardware;
-# never recalibrated at runtime, because determinism matters more than
-# clock fidelity here.
+# fixed effort-to-time conversion: frontier entries scanned per virtual
+# millisecond.  Never recalibrated at runtime, because determinism matters
+# more than clock fidelity here.  Scanning an entry costs far less than
+# 1/2000 ms (CPython 3.11 on a 2-core x86 VM scans 10,000-12,000 entries
+# per ms on PHP(7,6)), so virtual milliseconds overstate wall time 5-6 fold.
 WORK_PER_MS = 2000
 
 FAMILIES = ("random3sat", "pigeonhole", "complete-minus-one")
@@ -227,12 +228,12 @@ def _loglog_slope(xs: Sequence[float], ys: Sequence[float]) -> float:
 
 
 def fit_growth(records: Sequence[BenchRecord]) -> GrowthReport:
-    """Classify measured growth of peak tree size against variable count.
+    """Classify measured growth of peak frontier size against variable count.
 
     Only finished runs count: timed-out and budget-tripped records carry a
     censored peak and would bias the fit.  The per-variable growth ratio for
     a step n1 -> n2 is (p2/p1)^(1/(n2-n1)); a sequence hovering near 2 means
-    each added variable doubles the tree, near 1 means subexponential.  The
+    each added variable doubles the frontier, near 1 means subexponential.  The
     label comes from the median of the later half of that sequence, where
     small-n transients have died down.
     """

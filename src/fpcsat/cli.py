@@ -175,7 +175,7 @@ def _cmd_bench(args) -> int:
         print(f"growth_label=insufficient-data ({exc})")
     wall = time.perf_counter() - started
     print(f"bench wall time: {wall:.2f}s (CSV times are deterministic effort"
-          f" at {bench_mod.WORK_PER_MS} visits/ms)", file=sys.stderr)
+          f" at {bench_mod.WORK_PER_MS} frontier entries scanned/ms)", file=sys.stderr)
     return 0
 
 
@@ -192,7 +192,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="decide satisfiability")
     add_input(p)
     p.add_argument("--max-nodes", type=int, default=1 << 24,
-                   help="live tree node budget (default 2^24)")
+                   help="cap on the surviving fully populated clauses held at once"
+                        " (default 2^24)")
     p.add_argument("--all-models", action="store_true",
                    help="report every surviving fully populated clause")
     p.add_argument("--no-sort", action="store_true",
@@ -200,7 +201,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--preprocess", action="store_true",
                    help="apply cardinality bounds before solving")
     p.add_argument("--dump-tree", action="store_true",
-                   help="print the clause tree after each processed clause")
+                   help="list the surviving fully populated clauses after each"
+                        " processed clause")
     p.set_defaults(func=_cmd_solve)
 
     p = sub.add_parser("oracle", help="brute-force truth-table verdict")

@@ -68,7 +68,7 @@ def elimination_order_key(c: Clause) -> tuple[int, int, tuple[tuple[int, int], .
 
     The max-variable tie-break makes every clause eliminate as soon as its
     last variable registers; deferring a clause past the registration of
-    unrelated variables multiplies the uneliminated subtrees under it.
+    unrelated variables doubles, per variable, the FPCs it has yet to drop.
     """
     return (
         len(c),

@@ -29,8 +29,10 @@ def parse_dimacs(text: str | bytes) -> DimacsDocument:
 
     Clauses are whitespace-separated signed integers terminated by 0 and may
     span lines or share one.  ``c`` lines are comments; a ``p cnf n m`` header
-    must precede the clauses.  Sloppy headers (wrong counts, too-small n) are
-    warnings, not errors; real-world CNF files earn that leniency.
+    must precede the clauses.  A ``%`` line, as in SATLIB files, ends the
+    clauses and everything after it is ignored.  Sloppy headers (wrong
+    counts, too-small n) are warnings, not errors; real-world CNF files earn
+    that leniency.
     """
     if isinstance(text, bytes):
         text = text.decode("utf-8", errors="replace")
@@ -47,6 +49,8 @@ def parse_dimacs(text: str | bytes) -> DimacsDocument:
         stripped = line.strip()
         if not stripped:
             continue
+        if stripped.startswith("%"):
+            break
         if stripped.startswith("c"):
             comments.append(stripped[1:].lstrip())
             continue

@@ -1,7 +1,7 @@
 """Brute-force ground truth: truth-table SAT, FPC enumeration, the
 satisfiability condition checker, and complete-formula generation.
 
-Everything here is deliberately independent of the tree-based solver so the
+Everything here is deliberately independent of the elimination solver so the
 two can cross-check each other.  Truth tables are evaluated as big-integer
 bit columns (one bit per assignment), which keeps exhaustive runs up to the
 variable limits cheap.
@@ -182,19 +182,12 @@ def condition_check(
 
 
 def complete_formula(v: VariableSet, limit_vars: int = 12) -> Formula:
-    """All 3^n non-tautology clauses over ``v``, the empty clause included.
-
-    Built twice, by the per-variable three-way choice and as the union of
-    the power sets of all FPCs, and the two constructions are asserted
-    equal before returning.
-    """
+    """All 3^n non-tautology clauses over ``v``, the empty clause included:
+    each variable occurs positively, negatively or not at all."""
     ordered = sorted(v)
     _check_limit(len(ordered), limit_vars, "complete_formula")
-    direct = set()
-    for choice in itertools.product((1, -1, 0), repeat=len(ordered)):
-        direct.add(frozenset(s * var for s, var in zip(choice, ordered) if s != 0))
-    via_powersets: set[Clause] = set()
-    for fpc in enumerate_fpcs(v, limit_vars=limit_vars):
-        via_powersets |= power_set(fpc)
-    assert direct == via_powersets, "complete formula constructions disagree"
-    return Formula(clauses=frozenset(direct), original_count=len(direct))
+    clauses = frozenset(
+        frozenset(s * var for s, var in zip(choice, ordered) if s != 0)
+        for choice in itertools.product((1, -1, 0), repeat=len(ordered))
+    )
+    return Formula(clauses=clauses, original_count=len(clauses))

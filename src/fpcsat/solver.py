@@ -3,8 +3,9 @@
 A formula is satisfiable exactly when some fully populated clause over its
 variables has none of its subsets in the formula; the falsifying assignment
 of such a clause satisfies every formula clause.  The procedure registers
-variables into the clause tree as they first appear, eliminates the
-superset paths of each clause, and reads the survivors off the tree.
+variables into the frontier of surviving FPCs as they first appear,
+eliminates the supersets of each clause, and reads the models off the
+survivors.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ class SolveConfig:
     report_all_models: bool = False
     enable_cardinality_preprocessing: bool = False
     sort_clauses: bool = True
-    # deterministic effort cap in tree pointer visits; None = unlimited
+    # deterministic effort cap in frontier entries scanned; None = unlimited
     work_budget: int | None = None
     # called after each processed clause, for debug dumps
     trace: Callable[[Clause, FpcTree], None] | None = None
@@ -63,8 +64,12 @@ class SolveStats:
 class SolveResult:
     verdict: str
     models: list[dict[int, bool]] = field(default_factory=list)
-    absent_fpcs: list[Clause] = field(default_factory=list)
     stats: SolveStats = field(default_factory=SolveStats)
+
+    @property
+    def absent_fpcs(self) -> list[Clause]:
+        """The surviving FPC behind each model: the one clause it falsifies."""
+        return [frozenset(-v if value else v for v, value in m.items()) for m in self.models]
 
 
 def model_from_fpc(c: Clause) -> dict[int, bool]:
@@ -82,7 +87,7 @@ def check_sat(f: Formula, cfg: SolveConfig | None = None) -> SolveResult:
     _, report = normalize(f)
     stats.duplicates_removed = report.duplicates_removed
 
-    def finish(verdict: str, models=None, absent=None, tree: FpcTree | None = None):
+    def finish(verdict: str, models=None, tree: FpcTree | None = None):
         if tree is not None:
             stats.peak_nodes = tree.peak_nodes
             stats.eliminations = tree.eliminations
@@ -91,7 +96,6 @@ def check_sat(f: Formula, cfg: SolveConfig | None = None) -> SolveResult:
         return SolveResult(
             verdict=verdict,
             models=models or [],
-            absent_fpcs=absent or [],
             stats=stats,
         )
 
@@ -115,8 +119,8 @@ def check_sat(f: Formula, cfg: SolveConfig | None = None) -> SolveResult:
     tree = FpcTree(node_budget=cfg.node_budget, work_limit=cfg.work_budget)
     try:
         for c in clauses:
-            for lit in canonical_literals(c):
-                var = abs(lit)
+            # new variables register in ascending order, as they first appear
+            for var in sorted(abs(lit) for lit in c):
                 if tree.is_registered(var):
                     continue
                 status = tree.register_variable(var)
@@ -131,14 +135,9 @@ def check_sat(f: Formula, cfg: SolveConfig | None = None) -> SolveResult:
                 cfg.trace(c, tree)
             if tree.is_closed():
                 return finish(UNSAT, tree=tree)
-
-        survivors = tree.open_fpcs()
     except WorkLimitExceeded:
         stats.exceeded = "work"
         return finish(RESOURCE_EXCEEDED, tree=tree)
 
-    if not survivors:
-        return finish(UNSAT, tree=tree)
-    absent = survivors if cfg.report_all_models else survivors[:1]
-    models = [model_from_fpc(c) for c in absent]
-    return finish(SAT, models=models, absent=absent, tree=tree)
+    models = tree.models(None if cfg.report_all_models else 1)
+    return finish(SAT, models=models, tree=tree)

@@ -1,32 +1,23 @@
-"""Binary tree over fully populated clauses with OPEN/NULL pointer states.
+"""The frontier of surviving fully populated clauses, packed as sign vectors.
 
-Each node carries a variable index; its left edge stands for the negative
-literal, its right edge for the positive one.  A pointer is either OPEN (an
-insertion point for the next variable, and at the same time a surviving
-clause path), NULL (the subtree was eliminated because the formula contains
-a subset of every clause path through it), or a child node.  The path from
-the root to any OPEN pointer spells a fully populated clause over the
-variables registered so far; the root pointer itself spells the empty
-clause.
+In the procedure's clause tree, registering a variable splits every OPEN
+pointer, so all OPEN pointers sit at the same depth, and each spells a
+surviving fully populated clause (FPC) over the registered variables.  The
+tree is therefore fully described by that set of FPCs, and this module keeps
+only the set: one sorted list of ints.  With ``k`` registered variables, bit
+``k-1-i`` of an entry is the sign of the i-th registered variable (1 = the
+positive literal).  Before any variable registers, the single entry 0 spells
+the empty clause.
+
+Registering a variable maps each entry ``m`` to ``m<<1`` and ``m<<1|1``.
+Eliminating a clause drops every entry that agrees with the clause on all of
+its variables, i.e. every FPC the clause is a subset of.  Plain ascending int
+order is the tree's depth-first order, negative branch first.
 """
 
 from __future__ import annotations
 
-from .core import Clause
-
-
-class _Sentinel:
-    __slots__ = ("name",)
-
-    def __init__(self, name: str):
-        self.name = name
-
-    def __repr__(self):
-        return self.name
-
-
-OPEN = _Sentinel("OPEN")
-NULL = _Sentinel("NULL")
+from .core import Clause, canonical_literals
 
 OK = "ok"
 CLOSED = "closed"
@@ -34,16 +25,7 @@ BUDGET_EXCEEDED = "budget_exceeded"
 
 
 class WorkLimitExceeded(Exception):
-    """Internal signal: the configured work budget ran out mid-operation."""
-
-
-class Node:
-    __slots__ = ("var", "left", "right")
-
-    def __init__(self, var: int):
-        self.var = var
-        self.left = OPEN
-        self.right = OPEN
+    """Internal signal: the configured work budget would be crossed."""
 
 
 class UnregisteredVariableError(KeyError):
@@ -55,182 +37,114 @@ class DuplicateVariableError(ValueError):
 
 
 class FpcTree:
-    """Mutable single-owner tree; distinct instances are independent.
+    """Mutable single-owner frontier; distinct instances are independent.
 
-    ``node_budget`` caps live nodes (the structure's only memory hazard is
-    its 2^n worst case).  ``work`` counts pointer visits across all
-    operations; ``work_limit``, when set, aborts the current operation with
-    WorkLimitExceeded once crossed, leaving the tree in an unspecified but
-    safe-to-discard state.
+    ``node_budget`` caps the number of frontier entries (the structure's only
+    memory hazard is its 2^n worst case).  ``work`` counts the entries scanned
+    by registrations and eliminations; ``peak_nodes`` is the largest frontier
+    size seen, and ``eliminations`` the number of FPCs eliminated.  Both
+    budgets are checked before an operation mutates anything: a tripped node
+    budget returns BUDGET_EXCEEDED and a tripped ``work_limit`` raises
+    WorkLimitExceeded, and either way the state is left as it was.
     """
 
     def __init__(self, node_budget: int = 1 << 24, work_limit: int | None = None):
         if node_budget < 1:
             raise ValueError("node_budget must be >= 1")
-        self.root = OPEN
+        self.frontier: list[int] = [0]
         self.insertion_order: list[int] = []
-        self.node_count = 0
         self.node_budget = node_budget
-        self.open_count = 1
-        self.peak_nodes = 0
+        self.peak_nodes = 1
         self.eliminations = 0
         self.work = 0
         self.work_limit = work_limit
-        self._depth: dict[int, int] = {}
+        self._index: dict[int, int] = {}
 
-    def _tick(self, amount: int = 1) -> None:
-        self.work += amount
-        if self.work_limit is not None and self.work > self.work_limit:
+    def _scan(self) -> None:
+        """Charge one pass over the frontier, before the pass changes it."""
+        work = self.work + len(self.frontier)
+        if self.work_limit is not None and work > self.work_limit:
             raise WorkLimitExceeded
+        self.work = work
 
     def is_closed(self) -> bool:
-        return self.open_count == 0
+        return not self.frontier
 
     def is_registered(self, var: int) -> bool:
-        return var in self._depth
+        return var in self._index
 
     def register_variable(self, var: int) -> str:
-        """Split every OPEN pointer with a fresh node for ``var``.
+        """Extend every surviving FPC by both literals of ``var``.
 
-        Returns CLOSED when there is no insertion point left (the formula is
-        already unsatisfiable) and BUDGET_EXCEEDED, with the tree untouched,
-        when the insertion would overflow the node budget.
+        Returns CLOSED when no FPC survives (the formula is already
+        unsatisfiable) and BUDGET_EXCEEDED, with the frontier untouched, when
+        the doubled frontier would overflow the node budget.
         """
-        if var in self._depth:
+        if var in self._index:
             raise DuplicateVariableError(f"variable {var} already registered")
-        if self.open_count == 0:
+        frontier = self.frontier
+        if not frontier:
             return CLOSED
-        if self.node_count + self.open_count > self.node_budget:
+        if 2 * len(frontier) > self.node_budget:
             return BUDGET_EXCEEDED
+        self._scan()
 
-        new_nodes = self.open_count
-        if self.root is OPEN:
-            self.root = Node(var)
-            self._tick()
-        else:
-            stack = [self.root]
-            while stack:
-                node = stack.pop()
-                self._tick()
-                for side in ("left", "right"):
-                    child = getattr(node, side)
-                    if child is OPEN:
-                        setattr(node, side, Node(var))
-                    elif child is not NULL:
-                        stack.append(child)
-
-        self._depth[var] = len(self.insertion_order)
+        doubled = [0] * (2 * len(frontier))
+        doubled[0::2] = [m << 1 for m in frontier]
+        doubled[1::2] = [(m << 1) | 1 for m in frontier]
+        self.frontier = doubled
+        self._index[var] = len(self.insertion_order)
         self.insertion_order.append(var)
-        self.node_count += new_nodes
-        self.open_count = new_nodes * 2
-        if self.node_count > self.peak_nodes:
-            self.peak_nodes = self.node_count
+        self.peak_nodes = max(self.peak_nodes, len(doubled))
         return OK
 
-    def _release(self, ptr) -> None:
-        """Discard a detached subtree, updating node/open counts."""
-        if ptr is OPEN:
-            self.open_count -= 1
-            return
-        if ptr is NULL:
-            return
-        stack = [ptr]
-        while stack:
-            node = stack.pop()
-            self._tick()
-            self.node_count -= 1
-            for side in (node.left, node.right):
-                if side is OPEN:
-                    self.open_count -= 1
-                elif side is not NULL:
-                    stack.append(side)
-
     def eliminate(self, c: Clause) -> None:
-        """NULL every shallowest pointer whose path literals are a superset of ``c``.
+        """Drop every surviving FPC that ``c`` is a subset of.
 
-        Pruning at the shallowest such pointer discards the whole dead
-        subtree in one cut; deeper supersets are gone with it.
+        A tautology clause is a subset of no FPC and drops nothing; the empty
+        clause is a subset of every FPC and closes the frontier.
         """
-        need: dict[int, int] = {}
+        k = len(self.insertion_order)
+        varmask = posmask = 0
         for lit in c:
-            depth = self._depth.get(abs(lit))
-            if depth is None:
+            i = self._index.get(abs(lit))
+            if i is None:
                 raise UnregisteredVariableError(f"variable {abs(lit)} not registered")
-            if need.get(depth, lit) != lit:
-                return  # tautology clause: no path holds both polarities
-            need[depth] = lit
+            bit = 1 << (k - 1 - i)
+            if varmask & bit:
+                return  # tautology clause: no FPC holds both polarities
+            varmask |= bit
+            if lit > 0:
+                posmask |= bit
+        self._scan()
 
-        if not need:
-            # the empty clause is a subset of every path, root included
-            root = self.root
-            self.root = NULL
-            if root is not NULL:
-                self.eliminations += 1
-            self._release(root)
-            return
-        if self.root is NULL or self.root is OPEN:
-            return
+        before = len(self.frontier)
+        self.frontier = [m for m in self.frontier if m & varmask != posmask]
+        self.eliminations += before - len(self.frontier)
 
-        stack = [(self.root, 0, len(need))]
-        while stack:
-            node, depth, remaining = stack.pop()
-            self._tick()
-            lit = need.get(depth)
-            for side in ("left", "right"):
-                if lit is not None:
-                    if (lit < 0) != (side == "left"):
-                        continue
-                    rest = remaining - 1
-                else:
-                    rest = remaining
-                child = getattr(node, side)
-                if child is NULL:
-                    continue
-                if rest == 0:
-                    setattr(node, side, NULL)
-                    self.eliminations += 1
-                    self._release(child)
-                elif child is not OPEN:
-                    stack.append((child, depth + 1, rest))
+    def _bits(self) -> list[tuple[int, int]]:
+        """(variable, bit of its sign) for each registered variable."""
+        k = len(self.insertion_order)
+        return [(var, 1 << (k - 1 - i)) for i, var in enumerate(self.insertion_order)]
 
     def open_fpcs(self) -> list[Clause]:
-        """Surviving clause paths in left-to-right depth-first order (the
-        negative branch of each node before the positive one)."""
-        out: list[Clause] = []
-        stack: list[tuple] = [(self.root, ())]
-        while stack:
-            ptr, path = stack.pop()
-            self._tick()
-            if ptr is OPEN:
-                out.append(frozenset(path))
-            elif ptr is not NULL:
-                stack.append((ptr.right, path + (ptr.var,)))
-                stack.append((ptr.left, path + (-ptr.var,)))
-        return out
+        """Surviving FPCs in the tree's depth-first order (the negative
+        branch of each variable before the positive one)."""
+        bits = self._bits()
+        return [frozenset(v if m & b else -v for v, b in bits) for m in self.frontier]
+
+    def models(self, limit: int | None = None) -> list[dict[int, bool]]:
+        """The falsifying assignment of each of the first ``limit`` surviving
+        FPCs (all of them when ``limit`` is None), in ``open_fpcs`` order."""
+        bits = self._bits()
+        entries = self.frontier if limit is None else self.frontier[:limit]
+        return [{v: not m & b for v, b in bits} for m in entries]
 
     def dump(self) -> str:
-        """Indented text rendering, one node per line, for manual inspection."""
-        lines: list[str] = []
-
-        def describe(ptr) -> str:
-            if ptr is OPEN:
-                return "OPEN"
-            if ptr is NULL:
-                return "NULL"
-            return "node"
-
-        if self.root is OPEN or self.root is NULL:
-            return f"root={describe(self.root)}\n"
-        lines.append("root=node")
-        stack = [(self.root, 1)]
-        while stack:
-            node, depth = stack.pop()
-            indent = "  " * depth
-            lines.append(
-                f"{indent}x{node.var} left={describe(node.left)} right={describe(node.right)}"
-            )
-            if node.right is not OPEN and node.right is not NULL:
-                stack.append((node.right, depth + 1))
-            if node.left is not OPEN and node.left is not NULL:
-                stack.append((node.left, depth + 1))
+        """Text listing of the frontier, one surviving FPC per line, for
+        manual inspection of tiny inputs."""
+        order = " ".join(str(v) for v in self.insertion_order)
+        lines = [f"frontier size={len(self.frontier)} order={order}"]
+        for fpc in self.open_fpcs():
+            lines.append("[" + " ".join(str(x) for x in canonical_literals(fpc)) + "]")
         return "\n".join(lines) + "\n"

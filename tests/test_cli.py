@@ -80,8 +80,18 @@ def test_bench_reports_insufficient_data(tmp_path):
 def test_solve_dump_tree(illustration):
     proc = run_cli("solve", illustration, "--dump-tree")
     lines = proc.stdout.splitlines()
-    assert lines[0].startswith("c after clause")
-    assert any("root=node" in line for line in lines)
+    assert lines[:4] == [
+        "c after clause [-1]",
+        "c frontier size=1 order=1",
+        "c [1]",
+        "c after clause [3]",
+    ]
+    # the last listing holds the one surviving FPC, in registration order 1 3 2
+    assert lines[-5:-2] == [
+        "c after clause [1 -2 -3]",
+        "c frontier size=1 order=1 3 2",
+        "c [1 2 -3]",
+    ]
     # result lines still present and last
     assert lines[-2] == "s SATISFIABLE"
     assert lines[-1] == "v -1 -2 3 0"

@@ -50,6 +50,14 @@ def test_parse_empty_clause():
     assert doc.clauses == [frozenset(), fs(1)]
 
 
+def test_parse_satlib_end_marker():
+    doc = parse_dimacs("p cnf 2 2\n1 2 0\n-1 0\n%\n0\n\n")
+    assert doc.clauses == [fs(1, 2), fs(-1)]
+    assert not doc.warnings
+    with pytest.raises(DimacsError):
+        parse_dimacs("p cnf 2 2\n1 2 0\n-1\n%\n0\n")  # clause still open at %
+
+
 def test_parse_errors():
     with pytest.raises(DimacsError):
         parse_dimacs("1 0\n")  # clause before header

@@ -97,6 +97,16 @@ def test_complete_formula_matches_listing():
     assert all(not is_tautology(c) for c in f2.clauses)
 
 
+def test_complete_formula_is_union_of_fpc_power_sets():
+    # every non-tautology clause over v is a subset of some FPC over v
+    for n in range(0, 7):
+        v = frozenset(range(1, n + 1))
+        via_powersets = set()
+        for fpc in enumerate_fpcs(v):
+            via_powersets |= power_set(fpc)
+        assert complete_formula(v).clauses == via_powersets
+
+
 def test_oracle_condition_equivalence_exhaustive_small():
     # every effective formula over one and two variables
     for n in (1, 2):

@@ -161,7 +161,10 @@ def test_stats_reporting():
     result = check_sat(f)
     assert result.stats.tautologies_skipped == 1
     assert result.stats.clauses_processed == 1
-    assert result.stats.peak_nodes == 1
+    # peak frontier size: registering x1 doubles [()] to [(-1), (1)]
+    assert result.stats.peak_nodes == 2
+    assert result.stats.eliminations == 1
+    assert result.stats.work == 3
 
 
 def test_deterministic_result():

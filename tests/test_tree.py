@@ -11,10 +11,8 @@ from fpcsat.tree import (
     BUDGET_EXCEEDED,
     CLOSED,
     OK,
-    OPEN,
     DuplicateVariableError,
     FpcTree,
-    NULL,
     UnregisteredVariableError,
     WorkLimitExceeded,
 )
@@ -24,35 +22,26 @@ def fs(*lits):
     return frozenset(lits)
 
 
-def count_nodes(tree):
-    if tree.root in (OPEN, NULL):
-        return 0
-    total = 0
-    stack = [tree.root]
-    while stack:
-        node = stack.pop()
-        total += 1
-        for child in (node.left, node.right):
-            if child not in (OPEN, NULL):
-                stack.append(child)
-    return total
+def state(t):
+    return (t.frontier[:], t.insertion_order[:], t.work, t.peak_nodes, t.eliminations)
 
 
 def test_fresh_tree():
     t = FpcTree(node_budget=10**6)
-    assert t.root is OPEN
-    assert t.node_count == 0
-    assert t.open_count == 1
+    assert t.frontier == [0]
+    assert t.peak_nodes == 1
     assert not t.is_closed()
     assert t.open_fpcs() == [frozenset()]
+    assert t.models() == [{}]
 
 
 def test_register_doubles_open_pointers():
     t = FpcTree()
     assert t.register_variable(1) == OK
-    assert (t.node_count, t.open_count) == (1, 2)
+    assert t.frontier == [0b0, 0b1]
     assert t.register_variable(2) == OK
-    assert (t.node_count, t.open_count) == (3, 4)
+    # bit k-1-i is the sign of the i-th registered variable, 1 = positive
+    assert t.frontier == [0b00, 0b01, 0b10, 0b11]
     assert t.open_fpcs() == [fs(-1, -2), fs(-1, 2), fs(1, -2), fs(1, 2)]
 
 
@@ -92,7 +81,8 @@ def test_eliminate_empty_clause_closes_tree():
     t.eliminate(frozenset())
     assert t.is_closed()
     assert t.open_fpcs() == []
-    assert t.node_count == 0
+    assert t.frontier == []
+    assert t.eliminations == 4
 
 
 def test_eliminate_unregistered_variable():
@@ -105,6 +95,8 @@ def test_eliminate_unregistered_variable():
 def test_eliminate_both_polarities_closes():
     t = FpcTree()
     t.register_variable(1)
+    t.eliminate(fs(1, -1))  # a tautology is a subset of no FPC
+    assert t.open_fpcs() == [fs(-1), fs(1)]
     t.eliminate(fs(1))
     assert not t.is_closed()
     t.eliminate(fs(-1))
@@ -112,25 +104,38 @@ def test_eliminate_both_polarities_closes():
 
 
 def test_budget_exceeded_leaves_tree_unchanged():
-    t = FpcTree(node_budget=1)
+    t = FpcTree(node_budget=2)
     assert t.register_variable(1) == OK
-    before = (t.node_count, t.open_count, t.open_fpcs(), t.insertion_order[:])
+    before = state(t)
     assert t.register_variable(2) == BUDGET_EXCEEDED
-    after = (t.node_count, t.open_count, t.open_fpcs(), t.insertion_order[:])
-    assert before == after
+    assert state(t) == before
+    assert not t.is_registered(2)
 
 
-def test_node_count_tracks_real_nodes():
+def test_budget_checked_before_doubling():
+    # the cap is on frontier entries: 2 entries fit a budget of 2, 4 do not
+    t = FpcTree(node_budget=4)
+    assert t.register_variable(1) == OK
+    t.eliminate(fs(-1))
+    assert t.register_variable(2) == OK
+    assert t.register_variable(3) == OK
+    assert len(t.frontier) == 4
+    assert t.register_variable(4) == BUDGET_EXCEEDED
+
+
+def test_peak_nodes_tracks_frontier_size():
     t = FpcTree()
     for var in (1, 2, 3):
         t.register_variable(var)
-    assert t.node_count == count_nodes(t) == 7
+    assert len(t.frontier) == t.peak_nodes == 8
     t.eliminate(fs(-1))
-    assert t.node_count == count_nodes(t) == 4
-    assert t.peak_nodes == 7
+    assert len(t.frontier) == 4
+    assert t.eliminations == 4
+    assert t.peak_nodes == 8
     t.eliminate(fs(1, 2, 3))
-    assert t.node_count == count_nodes(t)
-    assert t.open_count == len(t.open_fpcs())
+    assert t.open_fpcs() == [fs(1, -2, -3), fs(1, -2, 3), fs(1, 2, -3)]
+    assert t.eliminations == 5
+    assert len(t.frontier) == len(t.open_fpcs())
 
 
 def test_eliminate_is_idempotent():
@@ -139,8 +144,10 @@ def test_eliminate_is_idempotent():
         t.register_variable(var)
     t.eliminate(fs(1, -2))
     snapshot = t.open_fpcs()
+    eliminated = t.eliminations
     t.eliminate(fs(1, -2))
     assert t.open_fpcs() == snapshot
+    assert t.eliminations == eliminated
 
 
 @settings(max_examples=200, deadline=None)
@@ -194,20 +201,49 @@ def test_open_fpcs_matches_condition_check():
 
 
 def test_work_limit_aborts():
+    # work counts the entries each pass scans: 1 + 2 registering, then 4
     t = FpcTree(work_limit=4)
     t.register_variable(1)
     t.register_variable(2)
-    assert t.work <= 4
+    assert t.work == 3
+    before = state(t)
     with pytest.raises(WorkLimitExceeded):
         t.register_variable(3)
+    assert state(t) == before
+    assert not t.is_registered(3)
+    with pytest.raises(WorkLimitExceeded):
+        t.eliminate(fs(1))
+    assert state(t) == before
+
+
+def test_open_fpcs_order_is_depth_first_negative_first():
+    # the order of the old pointer tree's walk: first registered variable
+    # outermost, negative branch before positive
+    rng = random.Random(5)
+    for _ in range(50):
+        order = rng.sample(range(1, 8), rng.randint(0, 6))
+        t = FpcTree()
+        for var in order:
+            t.register_variable(var)
+        for _ in range(rng.randint(0, 4)):
+            lits = rng.sample(order, rng.randint(1, len(order))) if order else []
+            t.eliminate(frozenset(v if rng.random() < 0.5 else -v for v in lits))
+
+        def dfs_key(fpc):
+            return [1 if v in fpc else 0 for v in order]
+
+        fpcs = t.open_fpcs()
+        assert fpcs == sorted(fpcs, key=dfs_key)
+        assert t.models() == [{abs(l): l < 0 for l in fpc} for fpc in fpcs]
+        assert t.models(1) == t.models()[:1]
 
 
 def test_dump_format():
     t = FpcTree()
-    assert t.dump() == "root=OPEN\n"
-    t.register_variable(1)
+    assert t.dump() == "frontier size=1 order=\n[]\n"
     t.register_variable(2)
+    t.register_variable(1)
     t.eliminate(fs(-1))
-    dump = t.dump()
-    assert "x1" in dump and "x2" in dump
-    assert "left=NULL" in dump and "right=OPEN" in dump
+    assert t.dump() == "frontier size=2 order=2 1\n[1 -2]\n[1 2]\n"
+    t.eliminate(fs(1))
+    assert t.dump() == "frontier size=0 order=2 1\n"
