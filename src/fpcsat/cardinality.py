@@ -1,22 +1,27 @@
-"""Clause counting through the integer indicator function, plus the
-preprocessing bounds and forced-literal rules derived from it.
+"""Clause counts per literal and variable, plus the preprocessing bounds and
+forced-literal rules derived from them.
 
-The counting function replaces each clause (a disjunction) by a product of
-0/1 indicators, one per literal, and the formula (a conjunction) by the sum
-of those products.  With all indicators at 1 it counts clauses; zeroing one
+``profile`` and ``preprocess`` take their counts for all variables from one
+linear sweep over the clauses (``literal_counts``).  The paper's integer
+counting function is kept as the cross-check those counts are tested
+against: it replaces each clause (a disjunction) by a product of 0/1
+indicators, one per literal, and the formula (a conjunction) by the sum of
+those products.  With all indicators at 1 it counts clauses; zeroing one
 polarity's indicator makes exactly the clauses containing that literal
-vanish, which turns differences of evaluations into per-literal counts.
-Direct clause scans are provided alongside as an independent cross-check.
+vanish, which turns differences of evaluations into per-literal counts
+(``eval_f``, ``count_*``).  Direct clause scans (``scan_count_*``) are a
+second, independent route.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
 
 from .core import (
     Clause,
     Formula,
-    is_tautology,
     variables_of,
 )
 
@@ -132,17 +137,28 @@ class CardinalityProfile:
     per_variable: dict[int, VariableCounts]
 
 
+def literal_counts(f: Formula) -> tuple[Counter, Counter, list[Clause]]:
+    """For all variables at once, in time linear in the formula's size: the
+    number of clauses holding each literal, the number holding each variable
+    in either polarity, and the tautologies."""
+    literals = Counter(chain.from_iterable(f.clauses))
+    either: Counter = Counter()
+    tautologies = []
+    for c in f.clauses:
+        variables = set(map(abs, c))
+        either.update(variables)
+        if len(variables) != len(c):
+            tautologies.append(c)
+    return literals, either, tautologies
+
+
 def profile(f: Formula) -> CardinalityProfile:
-    variables = sorted(variables_of(f))
-    per = {
-        i: VariableCounts(count_pos(f, i), count_neg(f, i), count_either(f, i))
-        for i in variables
-    }
-    effective = sum(1 for c in f.clauses if not is_tautology(c))
+    literals, either, tautologies = literal_counts(f)
+    per = {i: VariableCounts(literals[i], literals[-i], either[i]) for i in sorted(either)}
     return CardinalityProfile(
-        total=total_clauses(f),
-        n=len(variables),
-        n_effective=effective,
+        total=len(f.clauses),
+        n=len(per),
+        n_effective=len(f.clauses) - len(tautologies),
         per_variable=per,
     )
 
@@ -179,10 +195,13 @@ def preprocess(f: Formula) -> PreprocessReport:
     3^n - 2^n bound presumes a tautology-free formula and is only applied
     after confirming that; the 2^(2n) - 2^n bound holds for any CNF.
     """
-    variables = sorted(variables_of(f))
+    literals, either, tautologies = literal_counts(f)
+    # per-literal counts over the effective (non-tautology) clauses
+    literals.subtract(chain.from_iterable(tautologies))
+    variables = sorted(either)
     n = len(variables)
-    effective = [c for c in f.clauses if not is_tautology(c)]
-    has_tautology = check_tautology_clauses(f)
+    effective_count = len(f.clauses) - len(tautologies)
+    has_tautology = bool(tautologies)
 
     general_bound = (1 << (2 * n)) - (1 << n)
     unsat_by_general = len(f.clauses) > general_bound
@@ -191,15 +210,14 @@ def preprocess(f: Formula) -> PreprocessReport:
     unsat_by_total = False
     if not has_tautology:
         effective_bound = 3**n - 2**n
-        unsat_by_total = len(effective) > effective_bound
+        unsat_by_total = effective_count > effective_bound
 
     var_bound = 3 ** (n - 1) - 2 ** (n - 1) if n >= 1 else 0
-    effective_formula = Formula(clauses=frozenset(effective), original_count=len(effective))
     unsat_vars = []
     forced = []
     for i in variables:
-        pos = count_pos(effective_formula, i)
-        neg = count_neg(effective_formula, i)
+        pos = literals[i]
+        neg = literals[-i]
         if min(pos, neg) > var_bound:
             unsat_vars.append(i)
         elif pos <= var_bound < neg:
@@ -209,7 +227,7 @@ def preprocess(f: Formula) -> PreprocessReport:
 
     return PreprocessReport(
         n=n,
-        effective_count=len(effective),
+        effective_count=effective_count,
         has_tautology=has_tautology,
         effective_bound=effective_bound,
         general_bound=general_bound,

@@ -88,7 +88,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_stats(args) -> int:
     f = _read_formula(args.file)
-    _, report = normalize(f)
+    report = normalize(f)
     prof = cardinality.profile(f)
     rows = [
         ("formula", "clauses", prof.total),

@@ -48,21 +48,28 @@ def clause(lits: Iterable[int]) -> Clause:
     return c
 
 
-def literal_key(lit: Literal) -> tuple[int, int]:
-    """Sort key: by variable, positive polarity first."""
-    return (abs(lit), 0 if lit > 0 else 1)
+def literal_key(lit: Literal) -> int:
+    """Sort key: by variable, positive polarity first (``2*var``, plus 1 if
+    negative)."""
+    return 2 * abs(lit) + (lit < 0)
 
 
 def canonical_literals(c: Clause) -> tuple[Literal, ...]:
-    return tuple(sorted(c, key=literal_key))
+    """The clause's literals by variable, positive polarity first."""
+    # the stable sort by variable keeps the descending sort's ``v`` before ``-v``
+    return tuple(sorted(sorted(c, reverse=True), key=abs))
 
 
-def clause_key(c: Clause) -> tuple[int, tuple[tuple[int, int], ...]]:
+def _literal_keys(c: Clause) -> tuple[int, ...]:
+    return tuple(sorted(map(literal_key, c)))
+
+
+def clause_key(c: Clause) -> tuple[int, tuple[int, ...]]:
     """Sort key: ascending cardinality, lexicographic literals within a size."""
-    return (len(c), tuple(literal_key(lit) for lit in canonical_literals(c)))
+    return (len(c), _literal_keys(c))
 
 
-def elimination_order_key(c: Clause) -> tuple[int, int, tuple[tuple[int, int], ...]]:
+def elimination_order_key(c: Clause) -> tuple[int, int, tuple[int, ...]]:
     """Clause processing order for the solver: ascending cardinality, then by
     the clause's largest variable, then lexicographic.
 
@@ -70,11 +77,8 @@ def elimination_order_key(c: Clause) -> tuple[int, int, tuple[tuple[int, int], .
     last variable registers; deferring a clause past the registration of
     unrelated variables doubles, per variable, the FPCs it has yet to drop.
     """
-    return (
-        len(c),
-        max((abs(lit) for lit in c), default=0),
-        tuple(literal_key(lit) for lit in canonical_literals(c)),
-    )
+    keys = _literal_keys(c)
+    return (len(keys), keys[-1] >> 1 if keys else 0, keys)
 
 
 @dataclass(frozen=True)
@@ -166,21 +170,19 @@ class NormalizeReport:
     has_empty_clause: bool
 
 
-def normalize(f: Formula) -> tuple[Formula, NormalizeReport]:
-    """Deduplicate (already guaranteed by Formula) and mark structural facts.
-
-    Tautology clauses are kept but listed so callers can skip them; the
-    presence of the empty clause is flagged because it decides everything.
+def normalize(f: Formula) -> NormalizeReport:
+    """Report the structural facts of a formula (already deduplicated by
+    Formula): the duplicates dropped, the tautology clauses, which callers
+    skip, and the presence of the empty clause, which decides everything.
     """
     tautologies = tuple(sorted((c for c in f.clauses if is_tautology(c)), key=clause_key))
-    report = NormalizeReport(
+    return NormalizeReport(
         duplicates_removed=f.original_count - len(f.clauses),
         tautologies=tautologies,
         has_empty_clause=EMPTY_CLAUSE in f.clauses,
     )
-    return f, report
 
 
 def effective_clauses(f: Formula) -> list[Clause]:
-    """The non-tautology clauses, in canonical order."""
-    return sorted((c for c in f.clauses if not is_tautology(c)), key=clause_key)
+    """The non-tautology clauses, unordered; callers sort them once."""
+    return [c for c in f.clauses if not is_tautology(c)]

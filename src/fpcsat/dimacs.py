@@ -24,6 +24,16 @@ class DimacsDocument:
         return Formula(clauses=frozenset(self.clauses), original_count=len(self.clauses))
 
 
+def _check_tokens(line: str, lineno: int) -> None:
+    """Reject what ``int()`` reads but DIMACS does not define: a ``+`` sign,
+    a ``_`` digit separator or a non-ASCII digit."""
+    if line.isascii() and "+" not in line and "_" not in line:
+        return
+    for token in line.split():
+        if not token.isascii() or "+" in token or "_" in token:
+            raise DimacsError(f"line {lineno}: non-integer token {token!r}")
+
+
 def parse_dimacs(text: str | bytes) -> DimacsDocument:
     """Parse DIMACS CNF text.
 
@@ -32,7 +42,8 @@ def parse_dimacs(text: str | bytes) -> DimacsDocument:
     must precede the clauses.  A ``%`` line, as in SATLIB files, ends the
     clauses and everything after it is ignored.  Sloppy headers (wrong
     counts, too-small n) are warnings, not errors; real-world CNF files earn
-    that leniency.
+    that leniency.  Integers are plain ASCII: ``+3``, ``1_0`` and non-ASCII
+    digits, which ``int()`` would read, are errors.
     """
     if isinstance(text, bytes):
         text = text.decode("utf-8", errors="replace")
@@ -54,6 +65,7 @@ def parse_dimacs(text: str | bytes) -> DimacsDocument:
         if stripped.startswith("c"):
             comments.append(stripped[1:].lstrip())
             continue
+        _check_tokens(stripped, lineno)
         if stripped.startswith("p"):
             if declared_vars >= 0:
                 raise DimacsError(f"line {lineno}: duplicate header")

@@ -84,7 +84,7 @@ def check_sat(f: Formula, cfg: SolveConfig | None = None) -> SolveResult:
     start = time.perf_counter()
     stats = SolveStats()
 
-    _, report = normalize(f)
+    report = normalize(f)
     stats.duplicates_removed = report.duplicates_removed
 
     def finish(verdict: str, models=None, tree: FpcTree | None = None):

@@ -4,12 +4,15 @@ from hypothesis import given, settings
 from conftest import corpus, formulas
 from fpcsat.cardinality import (
     IndicatorVectors,
+    PreprocessReport,
+    VariableCounts,
     apply_forced_literals,
     check_tautology_clauses,
     count_either,
     count_neg,
     count_pos,
     eval_f,
+    literal_counts,
     preprocess,
     profile,
     scan_count_either,
@@ -101,6 +104,76 @@ def test_profile_invariants():
             assert counts.n_pos + counts.n_neg >= counts.n_either
             both = any(i in c and -i in c for c in f.clauses)
             assert (counts.n_pos + counts.n_neg > counts.n_either) == both
+
+
+def test_profile_agrees_with_counting_function():
+    # the c7 corpus of tests/test_acceptance.py
+    for f in corpus(seed=700, count=600, n_max=10):
+        prof = profile(f)
+        variables = sorted(variables_of(f))
+        assert sorted(prof.per_variable) == variables
+        for i in variables:
+            assert prof.per_variable[i] == VariableCounts(
+                count_pos(f, i), count_neg(f, i), count_either(f, i)
+            )
+        assert prof.total == total_clauses(f)
+        assert prof.n == len(variables)
+        assert prof.n_effective == sum(1 for c in f.clauses if not is_tautology(c))
+
+
+def reference_preprocess(f: Formula) -> PreprocessReport:
+    """preprocess with every count taken from the counting function."""
+    variables = sorted(variables_of(f))
+    n = len(variables)
+    effective = [c for c in f.clauses if not is_tautology(c)]
+    has_tautology = check_tautology_clauses(f)
+    general_bound = (1 << (2 * n)) - (1 << n)
+    effective_bound = None if has_tautology else 3**n - 2**n
+    var_bound = 3 ** (n - 1) - 2 ** (n - 1) if n >= 1 else 0
+    effective_formula = Formula(clauses=frozenset(effective), original_count=len(effective))
+    unsat_vars, forced = [], []
+    for i in variables:
+        pos = count_pos(effective_formula, i)
+        neg = count_neg(effective_formula, i)
+        if min(pos, neg) > var_bound:
+            unsat_vars.append(i)
+        elif pos <= var_bound < neg:
+            forced.append((i, False))
+        elif neg <= var_bound < pos:
+            forced.append((i, True))
+    return PreprocessReport(
+        n=n,
+        effective_count=len(effective),
+        has_tautology=has_tautology,
+        effective_bound=effective_bound,
+        general_bound=general_bound,
+        unsat_by_total_bound=effective_bound is not None and len(effective) > effective_bound,
+        unsat_by_general_bound=len(f.clauses) > general_bound,
+        unsat_by_variable_bound=tuple(unsat_vars),
+        forced_literals=tuple(forced),
+    )
+
+
+def test_preprocess_agrees_with_counting_function():
+    fired = 0
+    for f in corpus(seed=700, count=600, n_max=10):
+        report = preprocess(f)
+        assert report == reference_preprocess(f)
+        fired += bool(report.forced_literals or report.unsat_by_variable_bound)
+    assert fired  # the corpus exercises the per-variable rules
+    # complete formulas hit the variable bound on every variable
+    fn = complete_formula(frozenset(range(1, 4)))
+    assert preprocess(fn) == reference_preprocess(fn)
+    assert preprocess(fn).unsat_by_variable_bound == (1, 2, 3)
+
+
+def test_literal_counts():
+    literals, either, tautologies = literal_counts(
+        Formula.from_clauses([[1, -2], [1, -1, 3], [-1], []])
+    )
+    assert dict(literals) == {1: 2, -1: 2, -2: 1, 3: 1}
+    assert dict(either) == {1: 3, 2: 1, 3: 1}
+    assert tautologies == [fs(1, -1, 3)]
 
 
 def test_counting_theorems_on_complete_formula():

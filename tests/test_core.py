@@ -119,16 +119,16 @@ def test_formula_dedup_and_original_count():
 
 
 def test_normalize_reports():
-    f, report = normalize(Formula.from_clauses([[1], [1]]))
+    report = normalize(Formula.from_clauses([[1], [1]]))
     assert report.duplicates_removed == 1
     assert not report.tautologies
     assert not report.has_empty_clause
 
-    _, report = normalize(Formula.from_clauses([[1, -1], [2]]))
+    report = normalize(Formula.from_clauses([[1, -1], [2]]))
     assert report.tautologies == (fs(1, -1),)
     assert not report.has_empty_clause
 
-    _, report = normalize(Formula.from_clauses([[], [1]]))
+    report = normalize(Formula.from_clauses([[], [1]]))
     assert report.has_empty_clause
 
 

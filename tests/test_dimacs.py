@@ -1,8 +1,9 @@
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 from conftest import formulas
-from fpcsat.core import Formula
+from fpcsat.core import Formula, clause_key
 from fpcsat.dimacs import DimacsError, parse_dimacs, write_dimacs, write_result
 from fpcsat.solver import SolveConfig, check_sat
 
@@ -75,6 +76,55 @@ def test_parse_errors():
         parse_dimacs("p cnf 1 1\np cnf 1 1\n1 0\n")
 
 
+@pytest.mark.parametrize(
+    "text, lineno, token",
+    [
+        ("p cnf 3 1\n+3 0\n", 2, "+3"),
+        ("p cnf 10 1\n1_0 0\n", 2, "1_0"),
+        ("p cnf 3 1\n\u0663 0\n", 2, "\u0663"),  # Arabic-Indic three
+        ("p cnf 3 1\n1 -2\n-\uff13 0\n", 3, "-\uff13"),  # fullwidth three
+        ("c x\np cnf +3 1\n3 0\n", 2, "+3"),
+        ("p cnf 1_0 1\n3 0\n", 1, "1_0"),
+        ("p cnf 3 \u0661\n3 0\n", 1, "\u0661"),
+    ],
+)
+def test_parse_rejects_tokens_only_int_accepts(text, lineno, token):
+    with pytest.raises(DimacsError) as exc:
+        parse_dimacs(text)
+    assert str(exc.value) == f"line {lineno}: non-integer token {token!r}"
+
+
+ARABIC_INDIC = str.maketrans("0123456789", "".join(map(chr, range(0x660, 0x66A))))
+
+
+def int_only_spellings(lit: int) -> list[str]:
+    """Spellings that ``int()`` reads as ``lit`` but DIMACS does not define."""
+    text = str(lit)
+    underscored = text.replace("-", "-0_") if lit < 0 else "0_" + text
+    spellings = [underscored, text.translate(ARABIC_INDIC)]
+    if lit > 0:
+        spellings.append("+" + text)
+    return spellings
+
+
+@given(formulas(max_var=12, max_clauses=8, max_size=4), st.data())
+def test_parse_rejects_int_only_spelling_anywhere(f, data):
+    lines = write_dimacs(f).splitlines()
+    with_literals = [i for i, line in enumerate(lines[1:], start=1) if line != "0"]
+    if not with_literals:
+        return
+    i = data.draw(st.sampled_from(with_literals))
+    tokens = lines[i].split()
+    j = data.draw(st.integers(0, len(tokens) - 2))  # a literal, not the final 0
+    spelling = data.draw(st.sampled_from(int_only_spellings(int(tokens[j]))))
+    assert int(spelling) == int(tokens[j])
+    tokens[j] = spelling
+    lines[i] = " ".join(tokens)
+    with pytest.raises(DimacsError) as exc:
+        parse_dimacs("\n".join(lines) + "\n")
+    assert str(exc.value) == f"line {i + 1}: non-integer token {spelling!r}"
+
+
 def test_parse_warnings():
     doc = parse_dimacs("p cnf 1 1\n2 0\n")
     assert doc.declared_vars == 2  # raised to cover the literal
@@ -100,9 +150,13 @@ def test_write_examples():
 
 @given(formulas(max_var=9, max_clauses=12, max_size=5))
 def test_write_parse_round_trip(f):
-    doc = parse_dimacs(write_dimacs(f))
+    text = write_dimacs(f)
+    doc = parse_dimacs(text)
     assert doc.to_formula().clauses == f.clauses
+    assert doc.clauses == sorted(f.clauses, key=clause_key)
+    assert doc.declared_clauses == len(f.clauses)
     assert not doc.warnings
+    assert write_dimacs(doc.to_formula()) == text
 
 
 def test_write_result_lines():

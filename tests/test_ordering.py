@@ -1,0 +1,83 @@
+"""The integer ordering keys sort clauses exactly as the (variable, sign)
+tuple keys they replaced, which are kept here as the reference."""
+
+from hypothesis import given
+from hypothesis import strategies as st
+
+from conftest import clauses, literals
+from fpcsat.core import (
+    Formula,
+    canonical_literals,
+    clause_key,
+    elimination_order_key,
+    is_tautology,
+    literal_key,
+)
+from fpcsat.solver import SolveConfig, check_sat
+
+
+def reference_literal_key(lit):
+    return (abs(lit), 0 if lit > 0 else 1)
+
+
+def reference_canonical_literals(c):
+    return tuple(sorted(c, key=reference_literal_key))
+
+
+def reference_clause_key(c):
+    return (len(c), tuple(reference_literal_key(lit) for lit in reference_canonical_literals(c)))
+
+
+def reference_elimination_order_key(c):
+    return (
+        len(c),
+        max((abs(lit) for lit in c), default=0),
+        tuple(reference_literal_key(lit) for lit in reference_canonical_literals(c)),
+    )
+
+
+tautologies = st.builds(
+    lambda c, v: c | {v, -v}, clauses(max_var=7, max_size=4), st.integers(1, 7)
+)
+any_clause = st.one_of(clauses(max_var=7, max_size=6), tautologies, st.just(frozenset()))
+clause_lists = st.lists(any_clause, max_size=30)
+
+
+@given(literals(max_var=20), literals(max_var=20))
+def test_literal_key_is_order_isomorphic(a, b):
+    old_a, old_b = reference_literal_key(a), reference_literal_key(b)
+    assert (literal_key(a) < literal_key(b)) == (old_a < old_b)
+    assert (literal_key(a) == literal_key(b)) == (old_a == old_b)
+
+
+@given(any_clause)
+def test_canonical_literals_unchanged(c):
+    assert canonical_literals(c) == reference_canonical_literals(c)
+
+
+@given(clause_lists)
+def test_clause_orders_unchanged(cs):
+    assert sorted(cs, key=clause_key) == sorted(cs, key=reference_clause_key)
+    assert sorted(cs, key=elimination_order_key) == sorted(
+        cs, key=reference_elimination_order_key
+    )
+    assert sorted(cs, key=canonical_literals) == sorted(cs, key=reference_canonical_literals)
+
+
+@given(clause_lists)
+def test_check_sat_processes_clauses_in_reference_order(cs):
+    # the empty clause decides the verdict before any ordering
+    f = Formula.from_clauses([c for c in cs if c])
+    effective = [c for c in f.clauses if not is_tautology(c)]
+    for sort_clauses, key in (
+        (True, reference_elimination_order_key),
+        (False, reference_canonical_literals),
+    ):
+        seen = []
+        cfg = SolveConfig(sort_clauses=sort_clauses, trace=lambda c, tree: seen.append(c))
+        result = check_sat(f, cfg)
+        expected = sorted(effective, key=key)
+        if result.verdict == "SAT":
+            assert seen == expected
+        else:  # stops at the clause that closes the frontier
+            assert seen == expected[: len(seen)]

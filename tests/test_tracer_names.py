@@ -1,0 +1,50 @@
+"""``perfbench/run.py --trace 1`` splits a run's time by module through
+``perfbench/tracer.instrument``, which wraps fpcsat functions by name.  A
+rename or a changed call shape in ``solver``, ``cli`` or ``cardinality``
+must fail here rather than in the traced benchmark run."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+SCRIPT = """
+import contextlib, io, json, sys
+sys.path.insert(0, "perfbench")
+from tracer import Tracer, instrument
+
+tracer = Tracer()
+instrument(tracer)
+from fpcsat import cli
+
+codes = []
+with contextlib.redirect_stdout(io.StringIO()):
+    for argv in (["solve", "{cnf}"], ["solve", "--no-sort", "{cnf}"],
+                 ["stats", "{cnf}"], ["preprocess", "{cnf}"]):
+        codes.append(cli.main(argv))
+print(json.dumps({{"codes": codes, "calls": tracer.snapshot()["calls"]}}))
+"""
+
+
+def test_tracer_instruments_every_name(tmp_path):
+    cnf = tmp_path / "illustration.cnf"
+    cnf.write_text("p cnf 3 5\n-1 -2 0\n3 0\n-1 0\n1 -2 -3 0\n2 -2 0\n")
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.run(
+        [sys.executable, "-c", SCRIPT.format(cnf=cnf)],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout)
+    assert out["codes"] == [10, 10, 0, 0]
+    calls = out["calls"]
+    assert calls["core.normalize"] == 3  # two solves and stats
+    assert calls["core.effective_clauses"] == 2
+    # check_sat sorts the list effective_clauses returns, once per solve
+    assert calls["solver.order_sort"] == 2
+    assert calls["solver.check_sat"] == 2
+    assert calls["cardinality.profile"] == 1
+    assert calls["cardinality.preprocess"] == 1
