@@ -10,14 +10,13 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from types import SimpleNamespace
 
 from . import bench as bench_mod
 from . import cardinality
 from .core import Formula, canonical_literals, normalize, variables_of
 from .dimacs import DimacsError, parse_dimacs, write_result
 from .oracle import VariableLimitError, brute_force_sat
-from .solver import SolveConfig, check_sat
+from .solver import SolveConfig, SolveResult, check_sat
 
 EXIT_CODES = {"SAT": 10, "UNSAT": 20, "RESOURCE_EXCEEDED": 30}
 
@@ -68,9 +67,13 @@ def _cmd_solve(args) -> int:
 def _cmd_oracle(args) -> int:
     f = _read_formula(args.file)
     result = brute_force_sat(f, limit_vars=args.limit_vars)
-    models = list(result.models) if args.all_models else list(result.models[:1])
+    models = result.models if args.all_models else result.models[:1]
     verdict = "SAT" if result.satisfiable else "UNSAT"
-    sys.stdout.write(write_result(SimpleNamespace(verdict=verdict, models=models)))
+    # pack each model as the frontier packs the FPC it falsifies
+    order = sorted(variables_of(f))
+    k = len(order)
+    entries = [sum(1 << (k - 1 - i) for i, v in enumerate(order) if not m[v]) for m in models]
+    sys.stdout.write(write_result(SolveResult(verdict, order, entries)))
     return EXIT_CODES[verdict]
 
 
@@ -195,7 +198,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="cap on the surviving fully populated clauses held at once"
                         " (default 2^24)")
     p.add_argument("--all-models", action="store_true",
-                   help="report every surviving fully populated clause")
+                   help="print one model per surviving fully populated clause")
     p.add_argument("--no-sort", action="store_true",
                    help="disable ascending-cardinality clause ordering")
     p.add_argument("--preprocess", action="store_true",

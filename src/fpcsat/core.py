@@ -183,6 +183,7 @@ def normalize(f: Formula) -> NormalizeReport:
     )
 
 
-def effective_clauses(f: Formula) -> list[Clause]:
-    """The non-tautology clauses, unordered; callers sort them once."""
-    return [c for c in f.clauses if not is_tautology(c)]
+def effective_clauses(f: Formula, tautologies: Iterable[Clause]) -> list[Clause]:
+    """The clauses of ``f`` other than ``tautologies`` (``normalize`` lists
+    them), unordered; callers sort them once."""
+    return list(f.clauses.difference(tautologies))

@@ -62,9 +62,22 @@ class SolveStats:
 
 @dataclass
 class SolveResult:
+    """A verdict and, for SAT, its models as the frontier packs them:
+    ``order`` is the registration order and ``entries`` the reported FPCs
+    (all with ``report_all_models``, else the first).  Bit ``k-1-i`` of an
+    entry is 1 when its FPC holds ``order[i]`` positively, so when the model
+    that falsifies it sets ``order[i]`` false."""
+
     verdict: str
-    models: list[dict[int, bool]] = field(default_factory=list)
+    order: list[int] = field(default_factory=list)
+    entries: list[int] = field(default_factory=list)
     stats: SolveStats = field(default_factory=SolveStats)
+
+    @property
+    def models(self) -> list[dict[int, bool]]:
+        k = len(self.order)
+        bits = [(v, 1 << (k - 1 - i)) for i, v in enumerate(self.order)]
+        return [{v: not m & b for v, b in bits} for m in self.entries]
 
     @property
     def absent_fpcs(self) -> list[Clause]:
@@ -87,17 +100,13 @@ def check_sat(f: Formula, cfg: SolveConfig | None = None) -> SolveResult:
     report = normalize(f)
     stats.duplicates_removed = report.duplicates_removed
 
-    def finish(verdict: str, models=None, tree: FpcTree | None = None):
+    def finish(verdict: str, tree: FpcTree | None = None, order=(), entries=()):
         if tree is not None:
             stats.peak_nodes = tree.peak_nodes
             stats.eliminations = tree.eliminations
             stats.work = tree.work
         stats.elapsed_time = time.perf_counter() - start
-        return SolveResult(
-            verdict=verdict,
-            models=models or [],
-            stats=stats,
-        )
+        return SolveResult(verdict, list(order), list(entries), stats)
 
     if report.has_empty_clause:
         return finish(UNSAT)
@@ -108,7 +117,7 @@ def check_sat(f: Formula, cfg: SolveConfig | None = None) -> SolveResult:
             stats.preprocess_unsat = True
             return finish(UNSAT)
 
-    clauses = effective_clauses(f)
+    clauses = effective_clauses(f, report.tautologies)
     stats.tautologies_skipped = len(f.clauses) - len(clauses)
     if cfg.sort_clauses:
         clauses.sort(key=elimination_order_key)
@@ -139,5 +148,5 @@ def check_sat(f: Formula, cfg: SolveConfig | None = None) -> SolveResult:
         stats.exceeded = "work"
         return finish(RESOURCE_EXCEEDED, tree=tree)
 
-    models = tree.models(None if cfg.report_all_models else 1)
-    return finish(SAT, models=models, tree=tree)
+    entries = tree.frontier if cfg.report_all_models else tree.frontier[:1]
+    return finish(SAT, tree, tree.insertion_order, entries)

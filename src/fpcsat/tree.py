@@ -13,6 +13,9 @@ Registering a variable maps each entry ``m`` to ``m<<1`` and ``m<<1|1``.
 Eliminating a clause drops every entry that agrees with the clause on all of
 its variables, i.e. every FPC the clause is a subset of.  Plain ascending int
 order is the tree's depth-first order, negative branch first.
+
+The entries are also the models: ``check_sat`` hands them and
+``insertion_order`` on as they are, and ``dimacs.write_result`` prints them.
 """
 
 from __future__ import annotations
@@ -122,23 +125,12 @@ class FpcTree:
         self.frontier = [m for m in self.frontier if m & varmask != posmask]
         self.eliminations += before - len(self.frontier)
 
-    def _bits(self) -> list[tuple[int, int]]:
-        """(variable, bit of its sign) for each registered variable."""
-        k = len(self.insertion_order)
-        return [(var, 1 << (k - 1 - i)) for i, var in enumerate(self.insertion_order)]
-
     def open_fpcs(self) -> list[Clause]:
         """Surviving FPCs in the tree's depth-first order (the negative
         branch of each variable before the positive one)."""
-        bits = self._bits()
+        k = len(self.insertion_order)
+        bits = [(var, 1 << (k - 1 - i)) for i, var in enumerate(self.insertion_order)]
         return [frozenset(v if m & b else -v for v, b in bits) for m in self.frontier]
-
-    def models(self, limit: int | None = None) -> list[dict[int, bool]]:
-        """The falsifying assignment of each of the first ``limit`` surviving
-        FPCs (all of them when ``limit`` is None), in ``open_fpcs`` order."""
-        bits = self._bits()
-        entries = self.frontier if limit is None else self.frontier[:limit]
-        return [{v: not m & b for v, b in bits} for m in entries]
 
     def dump(self) -> str:
         """Text listing of the frontier, one surviving FPC per line, for

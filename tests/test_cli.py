@@ -1,7 +1,12 @@
+import hashlib
+import random
 import subprocess
 import sys
 
 import pytest
+
+from fpcsat.dimacs import write_dimacs
+from fpcsat.instances import random_3sat
 
 ILLUSTRATION_CNF = "p cnf 3 4\n-1 -2 0\n3 0\n-1 0\n1 -2 -3 0\n"
 
@@ -57,6 +62,24 @@ def test_solve_all_models(tmp_path):
     proc = run_cli("solve", str(path), "--all-models")
     assert proc.stdout == "s SATISFIABLE\nv 1 0\n"
     assert proc.returncode == 10
+
+
+# sha256 of the --all-models listings of random_3sat(16, 24, Random(7)), 3,983
+# models each, as the per-model dict renderer printed them
+ALL_MODELS_SHA256 = {
+    "solve": "d70bc64b7aebe01b12cfaf3b40e514a64f6383177ebc1f50a63d3455827b8fee",
+    "oracle": "b34661a2df4cf72f65c6b855028fc42c7f35a328cd04af45bb29257ad0d81583",
+}
+
+
+@pytest.mark.parametrize("command", ["solve", "oracle"])
+def test_all_models_listing_is_pinned(tmp_path, command):
+    path = tmp_path / "random3sat-16.cnf"
+    path.write_text(write_dimacs(random_3sat(16, 24, random.Random(7))))
+    proc = run_cli(command, "--all-models", str(path))
+    assert proc.returncode == 10
+    assert proc.stdout.count("\nv ") == 3983
+    assert hashlib.sha256(proc.stdout.encode()).hexdigest() == ALL_MODELS_SHA256[command]
 
 
 def test_solve_flag_variants_agree(illustration):

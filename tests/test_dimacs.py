@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from conftest import formulas
 from fpcsat.core import Formula, clause_key
 from fpcsat.dimacs import DimacsError, parse_dimacs, write_dimacs, write_result
-from fpcsat.solver import SolveConfig, check_sat
+from fpcsat.solver import SAT, SolveConfig, SolveResult, check_sat
 
 
 def fs(*lits):
@@ -86,12 +86,28 @@ def test_parse_errors():
         ("c x\np cnf +3 1\n3 0\n", 2, "+3"),
         ("p cnf 1_0 1\n3 0\n", 1, "1_0"),
         ("p cnf 3 \u0661\n3 0\n", 1, "\u0661"),
+        # characters str.splitlines() or str.split() break on, DIMACS does not
+        ("p cnf 2 1\n1\u00a02 0\n", 2, "1\u00a02"),  # no-break space
+        ("p cnf 2 1\n1\u20282 0\n", 2, "1\u20282"),  # line separator
+        ("p cnf 2 1\n1\u00852 0\n", 2, "1\u00852"),  # next line
+        ("p cnf 2 1\n1\x1c2 0\n", 2, "1\x1c2"),  # file separator
+        ("p cnf 2 1\n1\x1f2 0\n", 2, "1\x1f2"),  # unit separator
+        ("p cnf 2 1\n\n1 2 0\u00a0\n", 3, "0\u00a0"),
+        ("p cnf 2 1\n\u3000\n1 2 0\n", 2, "\u3000"),  # blank but for U+3000
     ],
 )
 def test_parse_rejects_tokens_only_int_accepts(text, lineno, token):
     with pytest.raises(DimacsError) as exc:
         parse_dimacs(text)
     assert str(exc.value) == f"line {lineno}: non-integer token {token!r}"
+
+
+def test_parse_crlf_and_utf8_comment():
+    doc = parse_dimacs("c caf\u00e9 \u2028 x+y_z\r\np cnf 2 2\r\n1 -2 0\r\n2 0\r\n")
+    assert doc.clauses == [fs(1, -2), fs(2)]
+    assert doc.comments == ["caf\u00e9 \u2028 x+y_z"]
+    assert not doc.warnings
+    assert parse_dimacs("c \u00fcber\np cnf 1 1\n1 0".encode()).clauses == [fs(1)]
 
 
 ARABIC_INDIC = str.maketrans("0123456789", "".join(map(chr, range(0x660, 0x66A))))
@@ -175,3 +191,28 @@ def test_write_result_illustration_model():
     f = Formula.from_clauses([[-1, -2], [3], [-1], [1, -2, -3]])
     result = check_sat(f)
     assert write_result(result) == "s SATISFIABLE\nv -1 -2 3 0\n"
+
+
+def reference_result(result) -> str:
+    """The per-literal renderer the table renderer replaced: one dict per
+    model, sorted and formatted literal by literal."""
+    lines = ["s SATISFIABLE"]
+    k = len(result.order)
+    for m in result.entries:
+        model = {v: not m >> (k - 1 - i) & 1 for i, v in enumerate(result.order)}
+        lits = [(v if model[v] else -v) for v in sorted(model)]
+        lines.append("v " + " ".join(str(x) for x in lits + [0]))
+    return "\n".join(lines) + "\n"
+
+
+@given(st.data())
+def test_write_result_matches_per_literal_reference(data):
+    # k crosses the chunk widths 1..8 and goes past 64 bits; 1-300 entries
+    # move the width w itself
+    k = data.draw(st.sampled_from([0, 1, 7, 8, 9, 16, 17, 65]))
+    variables = data.draw(st.sets(st.integers(1, 200), min_size=k, max_size=k))
+    order = data.draw(st.permutations(sorted(variables)))
+    entries = data.draw(st.lists(st.integers(0, (1 << k) - 1), min_size=1, max_size=300))
+    for reported in (entries[:1], entries):  # solve without and with --all-models
+        result = SolveResult(SAT, list(order), reported)
+        assert write_result(result) == reference_result(result)

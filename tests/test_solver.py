@@ -181,7 +181,9 @@ def test_deterministic_result():
 
 def test_first_model_is_leftmost_dfs():
     # with all models off, the reported FPC is the first in DFS order
-    f = Formula.from_clauses([[1]])
-    result = check_sat(f)
-    all_models = check_sat(f, SolveConfig(report_all_models=True))
-    assert result.absent_fpcs == all_models.absent_fpcs[:1]
+    for clauses, count in (([[1]], 1), ([[1], [2, 3]], 3)):
+        f = Formula.from_clauses(clauses)
+        result = check_sat(f)
+        all_models = check_sat(f, SolveConfig(report_all_models=True))
+        assert len(all_models.models) == count
+        assert result.absent_fpcs == all_models.absent_fpcs[:1]

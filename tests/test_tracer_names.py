@@ -22,25 +22,34 @@ from fpcsat import cli
 
 codes = []
 with contextlib.redirect_stdout(io.StringIO()):
-    for argv in (["solve", "{cnf}"], ["solve", "--no-sort", "{cnf}"],
-                 ["stats", "{cnf}"], ["preprocess", "{cnf}"]):
+    for argv in json.loads(sys.argv[1]):
         codes.append(cli.main(argv))
-print(json.dumps({{"codes": codes, "calls": tracer.snapshot()["calls"]}}))
+print(json.dumps({"codes": codes, "calls": tracer.snapshot()["calls"]}))
 """
 
 
-def test_tracer_instruments_every_name(tmp_path):
+def traced(tmp_path, *argvs):
+    """Exit codes and span call counts of CLI runs on the illustration
+    (plus a tautology clause) under ``tracer.instrument``."""
     cnf = tmp_path / "illustration.cnf"
     cnf.write_text("p cnf 3 5\n-1 -2 0\n3 0\n-1 0\n1 -2 -3 0\n2 -2 0\n")
+    argvs = [[str(cnf) if arg == "CNF" else arg for arg in argv] for argv in argvs]
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     proc = subprocess.run(
-        [sys.executable, "-c", SCRIPT.format(cnf=cnf)],
+        [sys.executable, "-c", SCRIPT, json.dumps(argvs)],
         cwd=ROOT, env=env, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
     out = json.loads(proc.stdout)
-    assert out["codes"] == [10, 10, 0, 0]
-    calls = out["calls"]
+    return out["codes"], out["calls"]
+
+
+def test_tracer_instruments_every_name(tmp_path):
+    codes, calls = traced(
+        tmp_path,
+        ["solve", "CNF"], ["solve", "--no-sort", "CNF"], ["stats", "CNF"], ["preprocess", "CNF"],
+    )
+    assert codes == [10, 10, 0, 0]
     assert calls["core.normalize"] == 3  # two solves and stats
     assert calls["core.effective_clauses"] == 2
     # check_sat sorts the list effective_clauses returns, once per solve
@@ -48,3 +57,11 @@ def test_tracer_instruments_every_name(tmp_path):
     assert calls["solver.check_sat"] == 2
     assert calls["cardinality.profile"] == 1
     assert calls["cardinality.preprocess"] == 1
+
+
+def test_model_rendering_stays_inside_the_traced_span(tmp_path):
+    # dimacs.write_result_s measures the v-line rendering only while
+    # write_result does it, for solve and oracle alike
+    codes, calls = traced(tmp_path, ["solve", "--all-models", "CNF"], ["oracle", "--all-models", "CNF"])
+    assert codes == [10, 10]
+    assert calls["dimacs.write_result"] == 2

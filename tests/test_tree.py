@@ -5,8 +5,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import corpus
-from fpcsat.core import effective_clauses, variables_of
+from fpcsat.core import effective_clauses, normalize, variables_of
 from fpcsat.oracle import condition_check
+from fpcsat.solver import SAT, SolveResult
 from fpcsat.tree import (
     BUDGET_EXCEEDED,
     CLOSED,
@@ -32,7 +33,7 @@ def test_fresh_tree():
     assert t.peak_nodes == 1
     assert not t.is_closed()
     assert t.open_fpcs() == [frozenset()]
-    assert t.models() == [{}]
+    assert SolveResult(SAT, t.insertion_order, t.frontier).models == [{}]
 
 
 def test_register_doubles_open_pointers():
@@ -180,7 +181,7 @@ def test_open_fpcs_matches_condition_check_n12():
         t = FpcTree()
         for var in sorted(variables_of(f)):
             t.register_variable(var)
-        for c in effective_clauses(f):
+        for c in effective_clauses(f, normalize(f).tautologies):
             t.eliminate(c)
         assert set(t.open_fpcs()) == set(condition_check(f))
 
@@ -192,7 +193,7 @@ def test_open_fpcs_matches_condition_check():
         t = FpcTree()
         for var in variables:
             t.register_variable(var)
-        for c in effective_clauses(f):
+        for c in effective_clauses(f, normalize(f).tautologies):
             t.eliminate(c)
         survivors = set(t.open_fpcs())
         expected = set(condition_check(f))
@@ -234,8 +235,9 @@ def test_open_fpcs_order_is_depth_first_negative_first():
 
         fpcs = t.open_fpcs()
         assert fpcs == sorted(fpcs, key=dfs_key)
-        assert t.models() == [{abs(l): l < 0 for l in fpc} for fpc in fpcs]
-        assert t.models(1) == t.models()[:1]
+        # SolveResult reads the models off the same entries
+        models = SolveResult(SAT, t.insertion_order, t.frontier).models
+        assert models == [{abs(l): l < 0 for l in fpc} for fpc in fpcs]
 
 
 def test_dump_format():
