@@ -13,7 +13,6 @@ from __future__ import annotations
 import csv
 import math
 import statistics
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
@@ -156,6 +155,8 @@ def run_family(
     if workers <= 1:
         consume(map(_run_task, tasks))
     else:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as executor:
             consume(executor.map(_run_task, tasks))
     return records

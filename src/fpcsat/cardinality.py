@@ -1,5 +1,7 @@
 """Clause counts per literal and variable, plus the preprocessing bounds and
-forced-literal rules derived from them.
+forced-literal rules derived from them.  ``preprocess`` reports the forced
+literals; nothing applies them, because on the study's families they fire
+only where the frontier stays tiny anyway.
 
 ``profile`` and ``preprocess`` take their counts for all variables from one
 linear sweep over the clauses (``literal_counts``).  The paper's integer
@@ -237,24 +239,3 @@ def preprocess(f: Formula) -> PreprocessReport:
         forced_literals=tuple(forced),
     )
 
-
-def apply_forced_literals(f: Formula, report: PreprocessReport) -> Formula:
-    """Unit-style simplification from forced literals: drop clauses the
-    forced values satisfy and remove falsified literals from the rest.
-    Optional; the reference solving path never calls this."""
-    fixed = dict(report.forced_literals)
-    out = []
-    for c in f.clauses:
-        satisfied = False
-        kept = []
-        for lit in c:
-            v = abs(lit)
-            if v in fixed:
-                if fixed[v] == (lit > 0):
-                    satisfied = True
-                    break
-            else:
-                kept.append(lit)
-        if not satisfied:
-            out.append(frozenset(kept))
-    return Formula(clauses=frozenset(out), original_count=len(out))

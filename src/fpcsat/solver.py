@@ -24,7 +24,7 @@ from .core import (
     is_tautology,
     normalize,
 )
-from .tree import BUDGET_EXCEEDED, CLOSED, FpcTree, WorkLimitExceeded
+from .tree import BudgetExceeded, FpcTree, decode_fpcs
 
 SAT = "SAT"
 UNSAT = "UNSAT"
@@ -74,15 +74,13 @@ class SolveResult:
     stats: SolveStats = field(default_factory=SolveStats)
 
     @property
-    def models(self) -> list[dict[int, bool]]:
-        k = len(self.order)
-        bits = [(v, 1 << (k - 1 - i)) for i, v in enumerate(self.order)]
-        return [{v: not m & b for v, b in bits} for m in self.entries]
-
-    @property
     def absent_fpcs(self) -> list[Clause]:
         """The surviving FPC behind each model: the one clause it falsifies."""
-        return [frozenset(-v if value else v for v, value in m.items()) for m in self.models]
+        return decode_fpcs(self.order, self.entries)
+
+    @property
+    def models(self) -> list[dict[int, bool]]:
+        return [model_from_fpc(c) for c in self.absent_fpcs]
 
 
 def model_from_fpc(c: Clause) -> dict[int, bool]:
@@ -130,22 +128,16 @@ def check_sat(f: Formula, cfg: SolveConfig | None = None) -> SolveResult:
         for c in clauses:
             # new variables register in ascending order, as they first appear
             for var in sorted(abs(lit) for lit in c):
-                if tree.is_registered(var):
-                    continue
-                status = tree.register_variable(var)
-                if status == CLOSED:
-                    return finish(UNSAT, tree=tree)
-                if status == BUDGET_EXCEEDED:
-                    stats.exceeded = "nodes"
-                    return finish(RESOURCE_EXCEEDED, tree=tree)
+                if not tree.is_registered(var):
+                    tree.register_variable(var)
             tree.eliminate(c)
             stats.clauses_processed += 1
             if cfg.trace is not None:
                 cfg.trace(c, tree)
-            if tree.is_closed():
+            if not tree.frontier:
                 return finish(UNSAT, tree=tree)
-    except WorkLimitExceeded:
-        stats.exceeded = "work"
+    except BudgetExceeded as exc:
+        stats.exceeded = exc.kind
         return finish(RESOURCE_EXCEEDED, tree=tree)
 
     entries = tree.frontier if cfg.report_all_models else tree.frontier[:1]

@@ -16,19 +16,23 @@ order is the tree's depth-first order, negative branch first.
 
 The entries are also the models: ``check_sat`` hands them and
 ``insertion_order`` on as they are, and ``dimacs.write_result`` prints them.
+``decode_fpcs`` turns them back into clauses.
+
+Every budget that trips raises ``BudgetExceeded`` before the operation
+changes anything, so a caller that stops there sees the state as it was.
 """
 
 from __future__ import annotations
 
 from .core import Clause, canonical_literals
 
-OK = "ok"
-CLOSED = "closed"
-BUDGET_EXCEEDED = "budget_exceeded"
 
+class BudgetExceeded(Exception):
+    """An operation would cross a budget; ``kind`` is "nodes" or "work"."""
 
-class WorkLimitExceeded(Exception):
-    """Internal signal: the configured work budget would be crossed."""
+    def __init__(self, kind: str):
+        super().__init__(kind)
+        self.kind = kind
 
 
 class UnregisteredVariableError(KeyError):
@@ -39,6 +43,13 @@ class DuplicateVariableError(ValueError):
     pass
 
 
+def decode_fpcs(order: list[int], entries: list[int]) -> list[Clause]:
+    """The FPC each entry spells over the variables ``order`` registered."""
+    k = len(order)
+    bits = [(var, 1 << (k - 1 - i)) for i, var in enumerate(order)]
+    return [frozenset(v if m & b else -v for v, b in bits) for m in entries]
+
+
 class FpcTree:
     """Mutable single-owner frontier; distinct instances are independent.
 
@@ -47,8 +58,8 @@ class FpcTree:
     by registrations and eliminations; ``peak_nodes`` is the largest frontier
     size seen, and ``eliminations`` the number of FPCs eliminated.  Both
     budgets are checked before an operation mutates anything: a tripped node
-    budget returns BUDGET_EXCEEDED and a tripped ``work_limit`` raises
-    WorkLimitExceeded, and either way the state is left as it was.
+    budget or ``work_limit`` raises ``BudgetExceeded`` and leaves the state
+    as it was.
     """
 
     def __init__(self, node_budget: int = 1 << 24, work_limit: int | None = None):
@@ -67,29 +78,21 @@ class FpcTree:
         """Charge one pass over the frontier, before the pass changes it."""
         work = self.work + len(self.frontier)
         if self.work_limit is not None and work > self.work_limit:
-            raise WorkLimitExceeded
+            raise BudgetExceeded("work")
         self.work = work
-
-    def is_closed(self) -> bool:
-        return not self.frontier
 
     def is_registered(self, var: int) -> bool:
         return var in self._index
 
-    def register_variable(self, var: int) -> str:
-        """Extend every surviving FPC by both literals of ``var``.
-
-        Returns CLOSED when no FPC survives (the formula is already
-        unsatisfiable) and BUDGET_EXCEEDED, with the frontier untouched, when
-        the doubled frontier would overflow the node budget.
-        """
+    def register_variable(self, var: int) -> None:
+        """Extend every surviving FPC by both literals of ``var``; an empty
+        frontier stays empty.  Raises ``BudgetExceeded("nodes")`` when the
+        doubled frontier would overflow the node budget."""
         if var in self._index:
             raise DuplicateVariableError(f"variable {var} already registered")
         frontier = self.frontier
-        if not frontier:
-            return CLOSED
         if 2 * len(frontier) > self.node_budget:
-            return BUDGET_EXCEEDED
+            raise BudgetExceeded("nodes")
         self._scan()
 
         doubled = [0] * (2 * len(frontier))
@@ -99,7 +102,6 @@ class FpcTree:
         self._index[var] = len(self.insertion_order)
         self.insertion_order.append(var)
         self.peak_nodes = max(self.peak_nodes, len(doubled))
-        return OK
 
     def eliminate(self, c: Clause) -> None:
         """Drop every surviving FPC that ``c`` is a subset of.
@@ -128,9 +130,7 @@ class FpcTree:
     def open_fpcs(self) -> list[Clause]:
         """Surviving FPCs in the tree's depth-first order (the negative
         branch of each variable before the positive one)."""
-        k = len(self.insertion_order)
-        bits = [(var, 1 << (k - 1 - i)) for i, var in enumerate(self.insertion_order)]
-        return [frozenset(v if m & b else -v for v, b in bits) for m in self.frontier]
+        return decode_fpcs(self.insertion_order, self.frontier)
 
     def dump(self) -> str:
         """Text listing of the frontier, one surviving FPC per line, for

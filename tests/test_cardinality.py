@@ -6,7 +6,6 @@ from fpcsat.cardinality import (
     IndicatorVectors,
     PreprocessReport,
     VariableCounts,
-    apply_forced_literals,
     check_tautology_clauses,
     count_either,
     count_neg,
@@ -245,13 +244,3 @@ def test_preprocess_sound_against_oracle():
         for var, value in report.forced_literals:
             assert all(m[var] == value for m in result.models)
 
-
-def test_apply_forced_literals_preserves_satisfiability():
-    for f in corpus(seed=31, count=200, n_max=8):
-        report = preprocess(f)
-        if report.proves_unsat or not report.forced_literals:
-            continue
-        reduced = apply_forced_literals(f, report)
-        a = brute_force_sat(f, collect_models=False).satisfiable
-        b = brute_force_sat(reduced, collect_models=False).satisfiable
-        assert a == b

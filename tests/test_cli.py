@@ -172,6 +172,18 @@ def test_bench_workers_match_serial(tmp_path):
     assert serial.read_bytes() == parallel.read_bytes()
 
 
+def test_cli_import_leaves_out_the_process_pool():
+    # only bench --workers N > 1 needs multiprocessing; every other command
+    # should not pay for importing it
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, fpcsat.cli; print('multiprocessing' in sys.modules)"],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
+
+
 def test_stats_output(illustration):
     proc = run_cli("stats", illustration)
     assert proc.returncode == 0

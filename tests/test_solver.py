@@ -1,6 +1,8 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import corpus
 from fpcsat.core import Formula, evaluate_formula, variables_of
@@ -149,6 +151,34 @@ def test_work_budget_trips():
     result = check_sat(f, SolveConfig(work_budget=10))
     assert result.verdict == RESOURCE_EXCEEDED
     assert result.stats.exceeded == "work"
+
+
+# one small corpus formula per seed, with tautologies, duplicate clauses and
+# now and then the empty clause; small enough that both budgets below trip
+seeded_formulas = st.integers(0, 2**32).map(
+    lambda seed: next(corpus(seed, count=1, n_max=6, tautology_prob=0.1,
+                             empty_clause_prob=0.02, duplicate_prob=0.1))
+)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(
+    seeded_formulas,
+    st.integers(1, 64),
+    st.one_of(st.none(), st.integers(0, 300)),
+)
+def test_every_budget_fails_closed(f, node_budget, work_budget):
+    # a budget either leaves the answer alone or gives up with no answer
+    full = check_sat(f, SolveConfig(report_all_models=True))
+    capped = check_sat(
+        f, SolveConfig(node_budget=node_budget, work_budget=work_budget, report_all_models=True)
+    )
+    if capped.verdict == RESOURCE_EXCEEDED:
+        assert capped.stats.exceeded in ("nodes", "work")
+        assert capped.entries == []
+    else:
+        assert capped.stats.exceeded is None
+        assert (capped.verdict, capped.entries) == (full.verdict, full.entries)
 
 
 def test_stats_reporting():

@@ -1,7 +1,7 @@
 """``perfbench/run.py --trace 1`` splits a run's time by module through
 ``perfbench/tracer.instrument``, which wraps fpcsat functions by name.  A
-rename or a changed call shape in ``solver``, ``cli`` or ``cardinality``
-must fail here rather than in the traced benchmark run."""
+rename or a changed call shape in ``solver``, ``tree``, ``cli`` or
+``cardinality`` must fail here rather than in the traced benchmark run."""
 
 import json
 import os
@@ -55,6 +55,9 @@ def test_tracer_instruments_every_name(tmp_path):
     # check_sat sorts the list effective_clauses returns, once per solve
     assert calls["solver.order_sort"] == 2
     assert calls["solver.check_sat"] == 2
+    # each solve registers x3, x1, x2 and eliminates the 4 non-tautologies
+    assert calls["tree.register"] == 6
+    assert calls["tree.eliminate"] == 8
     assert calls["cardinality.profile"] == 1
     assert calls["cardinality.preprocess"] == 1
 
@@ -65,3 +68,13 @@ def test_model_rendering_stays_inside_the_traced_span(tmp_path):
     codes, calls = traced(tmp_path, ["solve", "--all-models", "CNF"], ["oracle", "--all-models", "CNF"])
     assert codes == [10, 10]
     assert calls["dimacs.write_result"] == 2
+
+
+def test_tripped_budget_stays_inside_the_traced_spans(tmp_path):
+    # the node budget trips on the first registration, which raises out of
+    # the tree.register span and ends the solve with exit 30
+    codes, calls = traced(tmp_path, ["solve", "--max-nodes", "1", "CNF"])
+    assert codes == [30]
+    assert calls["solver.check_sat"] == 1
+    assert calls["tree.register"] == 1
+    assert "tree.eliminate" not in calls

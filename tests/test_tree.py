@@ -9,13 +9,10 @@ from fpcsat.core import effective_clauses, normalize, variables_of
 from fpcsat.oracle import condition_check
 from fpcsat.solver import SAT, SolveResult
 from fpcsat.tree import (
-    BUDGET_EXCEEDED,
-    CLOSED,
-    OK,
+    BudgetExceeded,
     DuplicateVariableError,
     FpcTree,
     UnregisteredVariableError,
-    WorkLimitExceeded,
 )
 
 
@@ -31,16 +28,16 @@ def test_fresh_tree():
     t = FpcTree(node_budget=10**6)
     assert t.frontier == [0]
     assert t.peak_nodes == 1
-    assert not t.is_closed()
+    assert t.frontier
     assert t.open_fpcs() == [frozenset()]
     assert SolveResult(SAT, t.insertion_order, t.frontier).models == [{}]
 
 
 def test_register_doubles_open_pointers():
     t = FpcTree()
-    assert t.register_variable(1) == OK
+    t.register_variable(1)
     assert t.frontier == [0b0, 0b1]
-    assert t.register_variable(2) == OK
+    t.register_variable(2)
     # bit k-1-i is the sign of the i-th registered variable, 1 = positive
     assert t.frontier == [0b00, 0b01, 0b10, 0b11]
     assert t.open_fpcs() == [fs(-1, -2), fs(-1, 2), fs(1, -2), fs(1, 2)]
@@ -58,8 +55,12 @@ def test_register_on_closed_tree():
     t.register_variable(1)
     t.eliminate(fs(1))
     t.eliminate(fs(-1))
-    assert t.is_closed()
-    assert t.register_variable(2) == CLOSED
+    assert t.frontier == []
+    t.register_variable(2)
+    assert t.frontier == []
+    assert t.insertion_order == [1, 2]
+    t.eliminate(fs(2))  # x2 is registered, so this is no error
+    assert t.open_fpcs() == []
 
 
 def test_eliminate_fig2_sequence():
@@ -72,7 +73,6 @@ def test_eliminate_fig2_sequence():
     assert t.open_fpcs() == [fs(1, -2), fs(1, 2)]
     t.eliminate(fs(1, -2))
     assert t.open_fpcs() == [fs(1, 2)]
-    assert not t.is_closed()
 
 
 def test_eliminate_empty_clause_closes_tree():
@@ -80,7 +80,6 @@ def test_eliminate_empty_clause_closes_tree():
     t.register_variable(1)
     t.register_variable(2)
     t.eliminate(frozenset())
-    assert t.is_closed()
     assert t.open_fpcs() == []
     assert t.frontier == []
     assert t.eliminations == 4
@@ -99,16 +98,18 @@ def test_eliminate_both_polarities_closes():
     t.eliminate(fs(1, -1))  # a tautology is a subset of no FPC
     assert t.open_fpcs() == [fs(-1), fs(1)]
     t.eliminate(fs(1))
-    assert not t.is_closed()
+    assert t.frontier == [0b0]
     t.eliminate(fs(-1))
-    assert t.is_closed()
+    assert t.frontier == []
 
 
 def test_budget_exceeded_leaves_tree_unchanged():
     t = FpcTree(node_budget=2)
-    assert t.register_variable(1) == OK
+    t.register_variable(1)
     before = state(t)
-    assert t.register_variable(2) == BUDGET_EXCEEDED
+    with pytest.raises(BudgetExceeded) as exc:
+        t.register_variable(2)
+    assert exc.value.kind == "nodes"
     assert state(t) == before
     assert not t.is_registered(2)
 
@@ -116,12 +117,14 @@ def test_budget_exceeded_leaves_tree_unchanged():
 def test_budget_checked_before_doubling():
     # the cap is on frontier entries: 2 entries fit a budget of 2, 4 do not
     t = FpcTree(node_budget=4)
-    assert t.register_variable(1) == OK
+    t.register_variable(1)
     t.eliminate(fs(-1))
-    assert t.register_variable(2) == OK
-    assert t.register_variable(3) == OK
+    t.register_variable(2)
+    t.register_variable(3)
     assert len(t.frontier) == 4
-    assert t.register_variable(4) == BUDGET_EXCEEDED
+    with pytest.raises(BudgetExceeded) as exc:
+        t.register_variable(4)
+    assert exc.value.kind == "nodes"
 
 
 def test_peak_nodes_tracks_frontier_size():
@@ -198,7 +201,7 @@ def test_open_fpcs_matches_condition_check():
         survivors = set(t.open_fpcs())
         expected = set(condition_check(f))
         assert survivors == expected
-        assert t.is_closed() == (not expected)
+        assert (not t.frontier) == (not expected)
 
 
 def test_work_limit_aborts():
@@ -208,12 +211,14 @@ def test_work_limit_aborts():
     t.register_variable(2)
     assert t.work == 3
     before = state(t)
-    with pytest.raises(WorkLimitExceeded):
+    with pytest.raises(BudgetExceeded) as exc:
         t.register_variable(3)
+    assert exc.value.kind == "work"
     assert state(t) == before
     assert not t.is_registered(3)
-    with pytest.raises(WorkLimitExceeded):
+    with pytest.raises(BudgetExceeded) as exc:
         t.eliminate(fs(1))
+    assert exc.value.kind == "work"
     assert state(t) == before
 
 
