@@ -13,11 +13,10 @@ from __future__ import annotations
 import csv
 import math
 import statistics
-from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .core import variables_of
-from .instances import complete_minus_one, pigeonhole, random_3sat
+from .instances import FAMILIES, complete_minus_one, pigeonhole, random_3sat
 from .solver import RESOURCE_EXCEEDED, SolveConfig, check_sat
 
 # fixed effort-to-time conversion: frontier entries scanned per virtual
@@ -26,8 +25,6 @@ from .solver import RESOURCE_EXCEEDED, SolveConfig, check_sat
 # 1/2000 ms (CPython 3.11 on a 2-core x86 VM scans 10,000-12,000 entries
 # per ms on PHP(7,6)), so virtual milliseconds overstate wall time 5-6 fold.
 WORK_PER_MS = 2000
-
-FAMILIES = ("random3sat", "pigeonhole", "complete-minus-one")
 
 CSV_COLUMNS = (
     "family",
@@ -42,8 +39,7 @@ CSV_COLUMNS = (
 )
 
 
-@dataclass(frozen=True)
-class BenchRecord:
+class BenchRecord(NamedTuple):
     family: str
     n: int
     clause_count: int
@@ -192,8 +188,7 @@ EXPONENTIAL = "exponential-consistent"
 RATIO_THRESHOLD = math.sqrt(2.0)
 
 
-@dataclass(frozen=True)
-class GrowthReport:
+class GrowthReport(NamedTuple):
     n_values: tuple[int, ...]
     median_peak_nodes: tuple[float, ...]
     median_elapsed_ms: tuple[float, ...]

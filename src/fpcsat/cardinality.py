@@ -18,8 +18,8 @@ second, independent route.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from itertools import chain
+from typing import NamedTuple
 
 from .core import (
     Clause,
@@ -28,8 +28,7 @@ from .core import (
 )
 
 
-@dataclass
-class IndicatorVectors:
+class IndicatorVectors(NamedTuple):
     """0/1 indicator per variable for the positive (x) and negative (xc)
     literal.  Only 0/1 entries are meaningful to the counting algorithms."""
 
@@ -124,15 +123,13 @@ def check_tautology_clauses(f: Formula) -> bool:
     return False
 
 
-@dataclass(frozen=True)
-class VariableCounts:
+class VariableCounts(NamedTuple):
     n_pos: int
     n_neg: int
     n_either: int
 
 
-@dataclass(frozen=True)
-class CardinalityProfile:
+class CardinalityProfile(NamedTuple):
     total: int
     n: int
     n_effective: int
@@ -165,8 +162,7 @@ def profile(f: Formula) -> CardinalityProfile:
     )
 
 
-@dataclass(frozen=True)
-class PreprocessReport:
+class PreprocessReport(NamedTuple):
     n: int
     effective_count: int
     has_tautology: bool

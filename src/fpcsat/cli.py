@@ -11,12 +11,16 @@ import argparse
 import sys
 import time
 
-from . import bench as bench_mod
-from . import cardinality
-from .core import Formula, canonical_literals, normalize, variables_of
+from .core import EMPTY_CLAUSE, Formula, canonical_literals, variables_of
+from .core import normalize  # noqa: F401  (perfbench/tracer.py wraps cli.normalize)
 from .dimacs import DimacsError, parse_dimacs, write_result
+from .instances import FAMILIES
 from .oracle import VariableLimitError, brute_force_sat
 from .solver import SolveConfig, SolveResult, check_sat
+from .tree import pack
+
+# bench and cardinality load inside the commands that use them, so that
+# solve and oracle do not pay for importing them (or statistics and csv)
 
 EXIT_CODES = {"SAT": 10, "UNSAT": 20, "RESOURCE_EXCEEDED": 30}
 
@@ -67,12 +71,11 @@ def _cmd_solve(args) -> int:
 def _cmd_oracle(args) -> int:
     f = _read_formula(args.file)
     result = brute_force_sat(f, limit_vars=args.limit_vars)
-    models = result.models if args.all_models else result.models[:1]
+    fpcs = result.falsified_fpc_per_model
     verdict = "SAT" if result.satisfiable else "UNSAT"
-    # pack each model as the frontier packs the FPC it falsifies
+    # pack the FPC each model falsifies as the frontier would
     order = sorted(variables_of(f))
-    k = len(order)
-    entries = [sum(1 << (k - 1 - i) for i, v in enumerate(order) if not m[v]) for m in models]
+    entries = pack(order, fpcs if args.all_models else fpcs[:1])
     sys.stdout.write(write_result(SolveResult(verdict, order, entries)))
     return EXIT_CODES[verdict]
 
@@ -90,16 +93,17 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_stats(args) -> int:
+    from . import cardinality
+
     f = _read_formula(args.file)
-    report = normalize(f)
     prof = cardinality.profile(f)
     rows = [
         ("formula", "clauses", prof.total),
         ("formula", "effective_clauses", prof.n_effective),
         ("formula", "variables", prof.n),
-        ("formula", "duplicates_removed", report.duplicates_removed),
-        ("formula", "tautology_clauses", len(report.tautologies)),
-        ("formula", "has_empty_clause", str(report.has_empty_clause).lower()),
+        ("formula", "duplicates_removed", f.original_count - prof.total),
+        ("formula", "tautology_clauses", prof.total - prof.n_effective),
+        ("formula", "has_empty_clause", str(EMPTY_CLAUSE in f.clauses).lower()),
     ]
     for var in sorted(prof.per_variable):
         counts = prof.per_variable[var]
@@ -111,6 +115,8 @@ def _cmd_stats(args) -> int:
 
 
 def _cmd_preprocess(args) -> int:
+    from . import cardinality
+
     f = _read_formula(args.file)
     report = cardinality.preprocess(f)
     rows = [
@@ -153,6 +159,8 @@ def _parse_range(text: str) -> list[int]:
 
 
 def _cmd_bench(args) -> int:
+    from . import bench as bench_mod
+
     n_values = _parse_range(args.n_range)
     started = time.perf_counter()
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
@@ -231,7 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_preprocess)
 
     p = sub.add_parser("bench", help="scaling study over an instance family")
-    p.add_argument("--family", choices=bench_mod.FAMILIES, default="random3sat")
+    p.add_argument("--family", choices=FAMILIES, default="random3sat")
     p.add_argument("--n-range", default="8..14", help="A..B inclusive (family parameter)")
     p.add_argument("--ratio", type=float, default=4.3,
                    help="clause/variable ratio for random3sat")

@@ -9,8 +9,8 @@ formula is always true).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Mapping
+from operator import neg
+from typing import Iterable, Mapping, NamedTuple
 
 Literal = int
 Clause = frozenset[int]
@@ -81,21 +81,46 @@ def elimination_order_key(c: Clause) -> tuple[int, int, tuple[int, ...]]:
     return (len(keys), keys[-1] >> 1 if keys else 0, keys)
 
 
-@dataclass(frozen=True)
 class Formula:
-    """A CNF formula with set semantics.
+    """A CNF formula with set semantics; immutable, equal and hashed by value.
 
     ``original_count`` remembers how many clauses were supplied before
     deduplication, so normalization can report what it dropped.
     """
 
+    __slots__ = ("clauses", "original_count")
+
     clauses: frozenset[Clause]
     original_count: int
+
+    def __init__(self, clauses: frozenset[Clause], original_count: int):
+        object.__setattr__(self, "clauses", clauses)
+        object.__setattr__(self, "original_count", original_count)
 
     @staticmethod
     def from_clauses(cs: Iterable[Iterable[int]]) -> "Formula":
         seen = [clause(c) for c in cs]
         return Formula(clauses=frozenset(seen), original_count=len(seen))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.clauses, self.original_count) == (other.clauses, other.original_count)
+
+    def __hash__(self) -> int:
+        return hash((self.clauses, self.original_count))
+
+    def __repr__(self) -> str:
+        return f"Formula(clauses={self.clauses!r}, original_count={self.original_count!r})"
+
+    def __reduce__(self):
+        return Formula, (self.clauses, self.original_count)
 
     def __iter__(self):
         return iter(self.clauses)
@@ -109,7 +134,7 @@ EMPTY_FORMULA = Formula(clauses=frozenset(), original_count=0)
 
 def is_tautology(c: Clause) -> bool:
     """True iff the clause contains some variable in both polarities."""
-    return any(-lit in c for lit in c)
+    return not c.isdisjoint(map(neg, c))
 
 
 def variables_of_clause(c: Clause) -> VariableSet:
@@ -163,8 +188,7 @@ def is_subset(c: Clause, d: Clause) -> bool:
     return c <= d
 
 
-@dataclass(frozen=True)
-class NormalizeReport:
+class NormalizeReport(NamedTuple):
     duplicates_removed: int
     tautologies: tuple[Clause, ...]
     has_empty_clause: bool

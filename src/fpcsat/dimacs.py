@@ -3,7 +3,8 @@
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from itertools import product
+from typing import NamedTuple
 
 from .core import Clause, Formula, canonical_literals, clause_key, variables_of
 
@@ -12,14 +13,13 @@ class DimacsError(ValueError):
     """Malformed DIMACS input."""
 
 
-@dataclass
-class DimacsDocument:
+class DimacsDocument(NamedTuple):
     declared_vars: int
     declared_clauses: int
     clauses: list[Clause]
-    comments: list[str] = field(default_factory=list)
-    warnings: list[str] = field(default_factory=list)
-    duplicate_literals_collapsed: int = 0
+    comments: list[str]
+    warnings: list[str]
+    duplicate_literals_collapsed: int
 
     def to_formula(self) -> Formula:
         return Formula(clauses=frozenset(self.clauses), original_count=len(self.clauses))
@@ -157,36 +157,41 @@ def write_result(result) -> str:
 
     Lookup tables over chunks of ``w`` bits permute each packed entry from
     registration into ascending variable order, then map each chunk to its
-    pre-rendered text; a table has 2^w rows, so ``w`` grows with the number
-    of models."""
+    pre-rendered text.  A chunk costs a fixed part, one step per table row
+    (2^w of them) and one per model, so ``w`` grows with the number of models
+    and the number of chunks falls with it."""
     if result.verdict == "UNSAT":
         return "s UNSATISFIABLE\n"
     if result.verdict != "SAT":
         return "s UNKNOWN\n"
     order, entries = result.order, result.entries
     k = len(order)
+    if not k:  # the one FPC over no variables, the empty clause
+        return "s SATISFIABLE\n" + "v 0\n" * len(entries)
     ascending = sorted(order)
     rank = {v: j for j, v in enumerate(ascending)}
-    w = min(max(len(entries).bit_length(), 1), 8)
-    mask = (1 << w) - 1
-    chunks = []
-    shifts = range(0, max(k, 1), w)  # at least one chunk: k = 0 renders "v 0"
-    for shift in shifts:
-        # entry bit s is the sign of order[k-1-s]; permuted bit j that of ascending[j]
-        moves = [0]
-        for s in range(shift, min(shift + w, k)):
-            bit = 1 << rank[order[k - 1 - s]]
-            moves += [x | bit for x in moves]
-        # a set bit is the FPC's positive literal, which the model falsifies
-        texts = ["v" if shift == 0 else ""]
-        for v in ascending[shift : shift + w]:
-            texts = [t + f" {v}" for t in texts] + [t + f" -{v}" for t in texts]
-        if shift == shifts[-1]:
-            texts = [t + " 0\n" for t in texts]
-        chunks.append((shift, moves, texts))
+    # entry bit k-1-i is the sign of order[i]; permuted bit k-1-j that of ascending[j]
+    moves = [1 << (k - 1 - rank[v]) for v in order]
+    # a set bit is the FPC's positive literal, which the model falsifies; the
+    # first and last variable's texts open and close the line
+    texts = [(" " + v, " -" + v) for v in map(str, ascending)]
+    texts[0] = ("v" + texts[0][0], "v" + texts[0][1])
+    texts[-1] = (texts[-1][0] + " 0\n", texts[-1][1] + " 0\n")
+    # a chunk's fixed part costs about as much as 10 table rows or models
+    w = min(range(1, 9), key=lambda w: -(-k // w) * (10 + (1 << w) + len(entries)))
+    # chunk [a, b) of either list is bits k-b .. k-1-a, its first item the highest
+    spans = [(a, min(a + w, k)) for a in range(0, k, w)]
 
     permuted = [0] * len(entries)
-    for shift, moves, _ in chunks:
-        permuted = [p | moves[m >> shift & mask] for p, m in zip(permuted, entries)]
-    columns = [[texts[p >> shift & mask] for p in permuted] for shift, _, texts in chunks]
+    for a, b in spans:
+        table = [0]
+        for bit in reversed(moves[a:b]):
+            table += [x | bit for x in table]
+        shift, mask = k - b, (1 << (b - a)) - 1
+        permuted = [p | table[m >> shift & mask] for p, m in zip(permuted, entries)]
+    columns = []
+    for a, b in spans:
+        table = list(map("".join, product(*texts[a:b])))
+        shift, mask = k - b, (1 << (b - a)) - 1
+        columns.append([table[p >> shift & mask] for p in permuted])
     return "s SATISFIABLE\n" + "".join([text for line in zip(*columns) for text in line])

@@ -8,6 +8,9 @@ import random
 from .core import Formula
 from .oracle import complete_formula, enumerate_fpcs, power_set
 
+# the families ``bench.run_family`` builds
+FAMILIES = ("random3sat", "pigeonhole", "complete-minus-one")
+
 
 def random_3sat(n: int, m: int, rng: random.Random) -> Formula:
     """``m`` clauses of 3 distinct variables with random polarities."""

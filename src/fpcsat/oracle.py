@@ -10,8 +10,8 @@ variable limits cheap.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from .core import (
     Clause,
@@ -63,8 +63,7 @@ def _truth_column(f: Formula, ordered_vars: list[int]) -> int:
     return result
 
 
-@dataclass(frozen=True)
-class OracleResult:
+class OracleResult(NamedTuple):
     satisfiable: bool
     models: tuple[dict[int, bool], ...]
     falsified_fpc_per_model: tuple[Clause, ...]

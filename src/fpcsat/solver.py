@@ -11,10 +11,8 @@ survivors.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
 from typing import Callable
 
-from . import cardinality
 from .core import (
     Clause,
     Formula,
@@ -31,36 +29,41 @@ UNSAT = "UNSAT"
 RESOURCE_EXCEEDED = "RESOURCE_EXCEEDED"
 
 
-@dataclass
 class SolveConfig:
-    node_budget: int = 1 << 24
-    report_all_models: bool = False
-    enable_cardinality_preprocessing: bool = False
-    sort_clauses: bool = True
-    # deterministic effort cap in frontier entries scanned; None = unlimited
-    work_budget: int | None = None
-    # called after each processed clause, for debug dumps
-    trace: Callable[[Clause, FpcTree], None] | None = None
-
-    def __post_init__(self):
-        if self.node_budget < 1:
+    def __init__(
+        self,
+        node_budget: int = 1 << 24,
+        report_all_models: bool = False,
+        enable_cardinality_preprocessing: bool = False,
+        sort_clauses: bool = True,
+        # deterministic effort cap in frontier entries scanned; None = unlimited
+        work_budget: int | None = None,
+        # called after each processed clause, for debug dumps
+        trace: Callable[[Clause, FpcTree], None] | None = None,
+    ):
+        if node_budget < 1:
             raise ValueError("node_budget must be >= 1")
+        self.node_budget = node_budget
+        self.report_all_models = report_all_models
+        self.enable_cardinality_preprocessing = enable_cardinality_preprocessing
+        self.sort_clauses = sort_clauses
+        self.work_budget = work_budget
+        self.trace = trace
 
 
-@dataclass
 class SolveStats:
-    clauses_processed: int = 0
-    tautologies_skipped: int = 0
-    duplicates_removed: int = 0
-    peak_nodes: int = 0
-    eliminations: int = 0
-    elapsed_time: float = 0.0
-    work: int = 0
-    exceeded: str | None = None  # "nodes" or "work" when budget tripped
-    preprocess_unsat: bool = False
+    def __init__(self):
+        self.clauses_processed = 0
+        self.tautologies_skipped = 0
+        self.duplicates_removed = 0
+        self.peak_nodes = 0
+        self.eliminations = 0
+        self.elapsed_time = 0.0
+        self.work = 0
+        self.exceeded: str | None = None  # "nodes" or "work" when budget tripped
+        self.preprocess_unsat = False
 
 
-@dataclass
 class SolveResult:
     """A verdict and, for SAT, its models as the frontier packs them:
     ``order`` is the registration order and ``entries`` the reported FPCs
@@ -68,10 +71,17 @@ class SolveResult:
     entry is 1 when its FPC holds ``order[i]`` positively, so when the model
     that falsifies it sets ``order[i]`` false."""
 
-    verdict: str
-    order: list[int] = field(default_factory=list)
-    entries: list[int] = field(default_factory=list)
-    stats: SolveStats = field(default_factory=SolveStats)
+    def __init__(
+        self,
+        verdict: str,
+        order: list[int] | None = None,
+        entries: list[int] | None = None,
+        stats: SolveStats | None = None,
+    ):
+        self.verdict = verdict
+        self.order = [] if order is None else order
+        self.entries = [] if entries is None else entries
+        self.stats = SolveStats() if stats is None else stats
 
     @property
     def absent_fpcs(self) -> list[Clause]:
@@ -110,6 +120,8 @@ def check_sat(f: Formula, cfg: SolveConfig | None = None) -> SolveResult:
         return finish(UNSAT)
 
     if cfg.enable_cardinality_preprocessing:
+        from . import cardinality  # only this branch needs it
+
         pre = cardinality.preprocess(f)
         if pre.proves_unsat:
             stats.preprocess_unsat = True

@@ -16,13 +16,16 @@ order is the tree's depth-first order, negative branch first.
 
 The entries are also the models: ``check_sat`` hands them and
 ``insertion_order`` on as they are, and ``dimacs.write_result`` prints them.
-``decode_fpcs`` turns them back into clauses.
+``decode_fpcs`` turns them back into clauses, and ``pack`` packs clauses,
+such as the oracle's, into them.
 
 Every budget that trips raises ``BudgetExceeded`` before the operation
 changes anything, so a caller that stops there sees the state as it was.
 """
 
 from __future__ import annotations
+
+from typing import Iterable
 
 from .core import Clause, canonical_literals
 
@@ -43,11 +46,22 @@ class DuplicateVariableError(ValueError):
     pass
 
 
+def _bits(order: list[int]) -> list[tuple[int, int]]:
+    """Each variable of ``order`` with the entry bit that holds its sign."""
+    k = len(order)
+    return [(var, 1 << (k - 1 - i)) for i, var in enumerate(order)]
+
+
 def decode_fpcs(order: list[int], entries: list[int]) -> list[Clause]:
     """The FPC each entry spells over the variables ``order`` registered."""
-    k = len(order)
-    bits = [(var, 1 << (k - 1 - i)) for i, var in enumerate(order)]
+    bits = _bits(order)
     return [frozenset(v if m & b else -v for v, b in bits) for m in entries]
+
+
+def pack(order: list[int], fpcs: Iterable[Clause]) -> list[int]:
+    """The entry that spells each FPC over ``order``; inverts ``decode_fpcs``."""
+    bits = _bits(order)
+    return [sum(b for v, b in bits if v in c) for c in fpcs]
 
 
 class FpcTree:

@@ -172,12 +172,18 @@ def test_bench_workers_match_serial(tmp_path):
     assert serial.read_bytes() == parallel.read_bytes()
 
 
-def test_cli_import_leaves_out_the_process_pool():
-    # only bench --workers N > 1 needs multiprocessing; every other command
-    # should not pay for importing it
+@pytest.mark.parametrize(
+    "module",
+    ["multiprocessing", "dataclasses", "inspect", "statistics", "csv",
+     "fpcsat.bench", "fpcsat.cardinality"],
+)
+def test_cli_import_leaves_out_unused_modules(module):
+    # every process pays for what importing the CLI loads: the process pool
+    # is for bench --workers N > 1 only, bench (with statistics and csv) for
+    # bench, cardinality for stats, preprocess and solve --preprocess
     proc = subprocess.run(
         [sys.executable, "-c",
-         "import sys, fpcsat.cli; print('multiprocessing' in sys.modules)"],
+         f"import sys, fpcsat.cli; print({module!r} in sys.modules)"],
         capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
@@ -192,6 +198,21 @@ def test_stats_output(illustration):
 
     csv_proc = run_cli("stats", illustration, "--csv")
     assert csv_proc.stdout.splitlines()[0] == "scope,key,value"
+
+
+def test_stats_counts_duplicates_tautologies_and_the_empty_clause(tmp_path):
+    path = tmp_path / "noisy.cnf"
+    path.write_text("p cnf 2 5\n1 -1 0\n2 0\n2 0\n0\n-2 1 0\n")
+    proc = run_cli("stats", "--csv", str(path))
+    assert proc.returncode == 0
+    assert proc.stdout.splitlines()[1:7] == [
+        "formula,clauses,4",
+        "formula,effective_clauses,3",
+        "formula,variables,2",
+        "formula,duplicates_removed,1",
+        "formula,tautology_clauses,1",
+        "formula,has_empty_clause,true",
+    ]
 
 
 def test_preprocess_output(tmp_path):

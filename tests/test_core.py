@@ -1,3 +1,5 @@
+import pickle
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -116,6 +118,23 @@ def test_formula_dedup_and_original_count():
     f = Formula.from_clauses([[1], [1]])
     assert len(f.clauses) == 1
     assert f.original_count == 2
+
+
+def test_formula_is_an_immutable_value():
+    f = Formula.from_clauses([[1, -2], [3]])
+    g = Formula(clauses=frozenset({fs(3), fs(-2, 1)}), original_count=2)
+    assert f == g and hash(f) == hash(g)
+    assert len({f, g}) == 1
+    assert f != Formula(clauses=f.clauses, original_count=3)
+    assert f != Formula.from_clauses([[1, -2]])
+    for name, value in (("clauses", frozenset()), ("original_count", 0), ("extra", 1)):
+        with pytest.raises(AttributeError):
+            setattr(f, name, value)
+    with pytest.raises(AttributeError):
+        del f.clauses
+    assert f == g
+    assert repr(g) == f"Formula(clauses={g.clauses!r}, original_count=2)"
+    assert pickle.loads(pickle.dumps(f)) == f
 
 
 def test_normalize_reports():

@@ -1,5 +1,7 @@
+import random
+
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from conftest import formulas
@@ -205,14 +207,27 @@ def reference_result(result) -> str:
     return "\n".join(lines) + "\n"
 
 
-@given(st.data())
-def test_write_result_matches_per_literal_reference(data):
+@st.composite
+def packed_models(draw):
+    """A registration order and 1-300 packed entries over it."""
     # k crosses the chunk widths 1..8 and goes past 64 bits; 1-300 entries
     # move the width w itself
-    k = data.draw(st.sampled_from([0, 1, 7, 8, 9, 16, 17, 65]))
-    variables = data.draw(st.sets(st.integers(1, 200), min_size=k, max_size=k))
-    order = data.draw(st.permutations(sorted(variables)))
-    entries = data.draw(st.lists(st.integers(0, (1 << k) - 1), min_size=1, max_size=300))
+    k = draw(st.sampled_from([0, 1, 7, 8, 9, 16, 17, 65]))
+    variables = draw(st.sets(st.integers(1, 200), min_size=k, max_size=k))
+    order = draw(st.permutations(sorted(variables)))
+    entries = draw(st.lists(st.integers(0, (1 << k) - 1), min_size=1, max_size=300))
+    return list(order), entries
+
+
+# one model over 2,000 shuffled variables, which w splits into hundreds of chunks
+WIDE_ORDER = random.Random(0).sample(range(1, 6001), 2000)
+WIDE_ENTRY = random.Random(1).getrandbits(2000)
+
+
+@example((WIDE_ORDER, [WIDE_ENTRY]))
+@given(packed_models())
+def test_write_result_matches_per_literal_reference(case):
+    order, entries = case
     for reported in (entries[:1], entries):  # solve without and with --all-models
-        result = SolveResult(SAT, list(order), reported)
+        result = SolveResult(SAT, order, reported)
         assert write_result(result) == reference_result(result)

@@ -144,6 +144,10 @@ def test_node_budget_trips():
     assert result.verdict == RESOURCE_EXCEEDED
     assert result.stats.exceeded == "nodes"
     assert not result.models
+    # a budget below one entry is rejected when the config is built, before
+    # any solve, even one the empty clause would end at once
+    with pytest.raises(ValueError):
+        SolveConfig(node_budget=0)
 
 
 def test_work_budget_trips():

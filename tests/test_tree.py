@@ -13,6 +13,8 @@ from fpcsat.tree import (
     DuplicateVariableError,
     FpcTree,
     UnregisteredVariableError,
+    decode_fpcs,
+    pack,
 )
 
 
@@ -243,6 +245,22 @@ def test_open_fpcs_order_is_depth_first_negative_first():
         # SolveResult reads the models off the same entries
         models = SolveResult(SAT, t.insertion_order, t.frontier).models
         assert models == [{abs(l): l < 0 for l in fpc} for fpc in fpcs]
+
+
+@given(st.lists(st.integers(1, 40), unique=True, max_size=12).flatmap(
+    lambda order: st.tuples(
+        st.just(order),
+        st.lists(st.integers(0, (1 << len(order)) - 1), max_size=20),
+    )
+))
+def test_pack_inverts_decode_fpcs(case):
+    order, entries = case
+    fpcs = decode_fpcs(order, entries)
+    assert pack(order, fpcs) == entries
+    # bit k-1-i of an entry is set when its FPC holds order[i] positively
+    k = len(order)
+    for m, fpc in zip(entries, fpcs):
+        assert all((m >> (k - 1 - i) & 1) == (v in fpc) for i, v in enumerate(order))
 
 
 def test_dump_format():
