@@ -11,7 +11,7 @@ import argparse
 import sys
 import time
 
-from .core import EMPTY_CLAUSE, Formula, canonical_literals, variables_of
+from .core import EMPTY_CLAUSE, Formula, variables_of
 from .core import normalize  # noqa: F401  (perfbench/tracer.py wraps cli.normalize)
 from .dimacs import DimacsError, parse_dimacs, write_result
 from .instances import FAMILIES
@@ -19,8 +19,8 @@ from .oracle import VariableLimitError, brute_force_sat
 from .solver import SolveConfig, SolveResult, check_sat
 from .tree import pack
 
-# bench and cardinality load inside the commands that use them, so that
-# solve and oracle do not pay for importing them (or statistics and csv)
+# bench loads inside bench, cardinality inside stats and preprocess: solve,
+# oracle and verify do not pay for importing them (or statistics and csv)
 
 EXIT_CODES = {"SAT": 10, "UNSAT": 20, "RESOURCE_EXCEEDED": 30}
 
@@ -29,7 +29,8 @@ def _read_formula(path: str) -> Formula:
     if path == "-":
         text = sys.stdin.read()
     else:
-        with open(path, "r", encoding="utf-8") as fh:
+        # a bad byte becomes U+FFFD: ignored in a comment, a parse error in a clause
+        with open(path, "r", encoding="utf-8", errors="replace") as fh:
             text = fh.read()
     doc = parse_dimacs(text)
     for w in doc.warnings:
@@ -39,20 +40,10 @@ def _read_formula(path: str) -> Formula:
 
 def _cmd_solve(args) -> int:
     f = _read_formula(args.file)
-    trace = None
-    if args.dump_tree:
-        def trace(c, tree):
-            lits = " ".join(str(x) for x in canonical_literals(c))
-            sys.stdout.write(f"c after clause [{lits}]\n")
-            for line in tree.dump().splitlines():
-                sys.stdout.write(f"c {line}\n")
-
     cfg = SolveConfig(
         node_budget=args.max_nodes,
         report_all_models=args.all_models,
-        enable_cardinality_preprocessing=args.preprocess,
         sort_clauses=not args.no_sort,
-        trace=trace,
     )
     result = check_sat(f, cfg)
     sys.stdout.write(write_result(result))
@@ -209,11 +200,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="print one model per surviving fully populated clause")
     p.add_argument("--no-sort", action="store_true",
                    help="disable ascending-cardinality clause ordering")
-    p.add_argument("--preprocess", action="store_true",
-                   help="apply cardinality bounds before solving")
-    p.add_argument("--dump-tree", action="store_true",
-                   help="list the surviving fully populated clauses after each"
-                        " processed clause")
     p.set_defaults(func=_cmd_solve)
 
     p = sub.add_parser("oracle", help="brute-force truth-table verdict")

@@ -129,16 +129,9 @@ class Formula:
         return len(self.clauses)
 
 
-EMPTY_FORMULA = Formula(clauses=frozenset(), original_count=0)
-
-
 def is_tautology(c: Clause) -> bool:
     """True iff the clause contains some variable in both polarities."""
     return not c.isdisjoint(map(neg, c))
-
-
-def variables_of_clause(c: Clause) -> VariableSet:
-    return frozenset(abs(lit) for lit in c)
 
 
 def variables_of(f: Formula) -> VariableSet:

@@ -194,4 +194,8 @@ def write_result(result) -> str:
         table = list(map("".join, product(*texts[a:b])))
         shift, mask = k - b, (1 << (b - a)) - 1
         columns.append([table[p >> shift & mask] for p in permuted])
-    return "s SATISFIABLE\n" + "".join([text for line in zip(*columns) for text in line])
+    del permuted
+    lines = ["s SATISFIABLE\n"]  # one join builds the whole text once
+    lines += [text for line in zip(*columns) for text in line]
+    del columns
+    return "".join(lines)

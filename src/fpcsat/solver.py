@@ -34,18 +34,16 @@ class SolveConfig:
         self,
         node_budget: int = 1 << 24,
         report_all_models: bool = False,
-        enable_cardinality_preprocessing: bool = False,
         sort_clauses: bool = True,
         # deterministic effort cap in frontier entries scanned; None = unlimited
         work_budget: int | None = None,
-        # called after each processed clause, for debug dumps
+        # per-clause hook, used by tests: called after each processed clause
         trace: Callable[[Clause, FpcTree], None] | None = None,
     ):
         if node_budget < 1:
             raise ValueError("node_budget must be >= 1")
         self.node_budget = node_budget
         self.report_all_models = report_all_models
-        self.enable_cardinality_preprocessing = enable_cardinality_preprocessing
         self.sort_clauses = sort_clauses
         self.work_budget = work_budget
         self.trace = trace
@@ -61,7 +59,6 @@ class SolveStats:
         self.elapsed_time = 0.0
         self.work = 0
         self.exceeded: str | None = None  # "nodes" or "work" when budget tripped
-        self.preprocess_unsat = False
 
 
 class SolveResult:
@@ -118,14 +115,6 @@ def check_sat(f: Formula, cfg: SolveConfig | None = None) -> SolveResult:
 
     if report.has_empty_clause:
         return finish(UNSAT)
-
-    if cfg.enable_cardinality_preprocessing:
-        from . import cardinality  # only this branch needs it
-
-        pre = cardinality.preprocess(f)
-        if pre.proves_unsat:
-            stats.preprocess_unsat = True
-            return finish(UNSAT)
 
     clauses = effective_clauses(f, report.tautologies)
     stats.tautologies_skipped = len(f.clauses) - len(clauses)

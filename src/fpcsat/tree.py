@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from .core import Clause, canonical_literals
+from .core import Clause
 
 
 class BudgetExceeded(Exception):
@@ -145,12 +145,3 @@ class FpcTree:
         """Surviving FPCs in the tree's depth-first order (the negative
         branch of each variable before the positive one)."""
         return decode_fpcs(self.insertion_order, self.frontier)
-
-    def dump(self) -> str:
-        """Text listing of the frontier, one surviving FPC per line, for
-        manual inspection of tiny inputs."""
-        order = " ".join(str(v) for v in self.insertion_order)
-        lines = [f"frontier size={len(self.frontier)} order={order}"]
-        for fpc in self.open_fpcs():
-            lines.append("[" + " ".join(str(x) for x in canonical_literals(fpc)) + "]")
-        return "\n".join(lines) + "\n"

@@ -84,10 +84,9 @@ def test_all_models_listing_is_pinned(tmp_path, command):
 
 def test_solve_flag_variants_agree(illustration):
     baseline = run_cli("solve", illustration)
-    for flags in (("--no-sort",), ("--preprocess",), ("--no-sort", "--preprocess")):
-        proc = run_cli("solve", illustration, *flags)
-        assert proc.stdout == baseline.stdout
-        assert proc.returncode == baseline.returncode
+    proc = run_cli("solve", illustration, "--no-sort")
+    assert proc.stdout == baseline.stdout
+    assert proc.returncode == baseline.returncode
 
 
 def test_bench_reports_insufficient_data(tmp_path):
@@ -100,26 +99,6 @@ def test_bench_reports_insufficient_data(tmp_path):
     assert len(out.read_text().splitlines()) == 3  # header + 2 records
 
 
-def test_solve_dump_tree(illustration):
-    proc = run_cli("solve", illustration, "--dump-tree")
-    lines = proc.stdout.splitlines()
-    assert lines[:4] == [
-        "c after clause [-1]",
-        "c frontier size=1 order=1",
-        "c [1]",
-        "c after clause [3]",
-    ]
-    # the last listing holds the one surviving FPC, in registration order 1 3 2
-    assert lines[-5:-2] == [
-        "c after clause [1 -2 -3]",
-        "c frontier size=1 order=1 3 2",
-        "c [1 2 -3]",
-    ]
-    # result lines still present and last
-    assert lines[-2] == "s SATISFIABLE"
-    assert lines[-1] == "v -1 -2 3 0"
-
-
 def test_parse_error_exit_code(tmp_path):
     path = tmp_path / "bad.cnf"
     path.write_text("p cnf 1 1\n1 oops 0\n")
@@ -128,13 +107,31 @@ def test_parse_error_exit_code(tmp_path):
     assert "error:" in proc.stderr
 
 
+def test_non_utf8_byte_in_file(tmp_path):
+    # a Latin-1 byte in a comment is ignored; in clause data it is a parse
+    # error that names its line
+    comment = tmp_path / "latin1-comment.cnf"
+    comment.write_bytes(b"c caf\xe9\np cnf 2 1\n1 -2 0\n")
+    proc = run_cli("solve", str(comment))
+    assert proc.stdout == "s SATISFIABLE\nv 1 2 0\n"
+    assert proc.returncode == 10
+
+    clause = tmp_path / "latin1-clause.cnf"
+    clause.write_bytes(b"p cnf 2 1\n1 -2\xe9 0\n")
+    proc = run_cli("solve", str(clause))
+    assert proc.returncode == 1
+    assert "line 2: non-integer token" in proc.stderr
+
+
 def test_missing_file_exit_code():
     proc = run_cli("solve", "/nonexistent/input.cnf")
     assert proc.returncode == 1
 
 
-def test_unknown_flag_exit_code(illustration):
-    proc = run_cli("solve", illustration, "--frobnicate")
+# solve has no --dump-tree or --preprocess; they fail like any unknown flag
+@pytest.mark.parametrize("flag", ["--frobnicate", "--dump-tree", "--preprocess"])
+def test_unknown_flag_exit_code(illustration, flag):
+    proc = run_cli("solve", illustration, flag)
     assert proc.returncode == 1
 
 
@@ -180,7 +177,7 @@ def test_bench_workers_match_serial(tmp_path):
 def test_cli_import_leaves_out_unused_modules(module):
     # every process pays for what importing the CLI loads: the process pool
     # is for bench --workers N > 1 only, bench (with statistics and csv) for
-    # bench, cardinality for stats, preprocess and solve --preprocess
+    # bench, cardinality for stats and preprocess only
     proc = subprocess.run(
         [sys.executable, "-c",
          f"import sys, fpcsat.cli; print({module!r} in sys.modules)"],

@@ -130,8 +130,6 @@ def test_config_toggles_never_change_verdict():
     configs = [
         SolveConfig(sort_clauses=True),
         SolveConfig(sort_clauses=False),
-        SolveConfig(enable_cardinality_preprocessing=True),
-        SolveConfig(sort_clauses=False, enable_cardinality_preprocessing=True),
     ]
     for f in corpus(seed=59, count=150, n_max=9):
         verdicts = {check_sat(f, cfg).verdict for cfg in configs}

@@ -261,14 +261,3 @@ def test_pack_inverts_decode_fpcs(case):
     k = len(order)
     for m, fpc in zip(entries, fpcs):
         assert all((m >> (k - 1 - i) & 1) == (v in fpc) for i, v in enumerate(order))
-
-
-def test_dump_format():
-    t = FpcTree()
-    assert t.dump() == "frontier size=1 order=\n[]\n"
-    t.register_variable(2)
-    t.register_variable(1)
-    t.eliminate(fs(-1))
-    assert t.dump() == "frontier size=2 order=2 1\n[1 -2]\n[1 2]\n"
-    t.eliminate(fs(1))
-    assert t.dump() == "frontier size=0 order=2 1\n"
