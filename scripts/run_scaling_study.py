@@ -1,23 +1,23 @@
 #!/usr/bin/env python3
-"""Run the full scaling study and print one growth report per family.
+"""Run the full scaling study: ``fpcsat bench`` once per family.
 
-Writes one CSV per family under results/ (created if missing).  All times
-in the CSVs are deterministic effort milliseconds, so reruns with the same
-seed reproduce them byte for byte; wall-clock totals go to stderr.
+Each run writes its family's CSV under --out-dir (created if missing) and
+prints its growth report.  All times in the CSVs are deterministic effort
+milliseconds, so reruns with the same seed reproduce them byte for byte;
+wall-clock totals go to stderr.  Exits with the first failing run's code.
 """
 
 import argparse
 import pathlib
 import sys
-import time
 
-from fpcsat.bench import append_csv_record, fit_growth, run_family, write_csv_header
+from fpcsat.cli import main as fpcsat
 
 STUDIES = (
-    # family, parameter values, per-instance effort budget (virtual ms)
-    ("pigeonhole", range(2, 7), 60_000.0),
-    ("random3sat", range(8, 23), 10_000.0),
-    ("complete-minus-one", range(2, 13), 10_000.0),
+    # family, parameter range, per-instance effort budget (virtual ms)
+    ("pigeonhole", "2..6", 60_000.0),
+    ("random3sat", "8..22", 10_000.0),
+    ("complete-minus-one", "2..12", 10_000.0),
 )
 
 
@@ -31,27 +31,15 @@ def main() -> int:
 
     out_dir = pathlib.Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-
-    for family, n_values, timeout_ms in STUDIES:
-        csv_path = out_dir / f"{family.replace('-', '_')}.csv"
-        started = time.perf_counter()
-        with open(csv_path, "w", encoding="utf-8", newline="") as fh:
-            write_csv_header(fh)
-            records = run_family(
-                family,
-                n_values,
-                seed=args.seed,
-                seeds_per_n=args.seeds_per_n,
-                ratio=args.ratio,
-                timeout_ms=timeout_ms,
-                on_record=lambda r, fh=fh: append_csv_record(fh, r),
-            )
-        wall = time.perf_counter() - started
-        print(f"== {family} ({len(records)} records, {csv_path})")
-        report = fit_growth(records)
-        for line in report.lines():
-            print(f"   {line}")
-        print(f"{family}: {wall:.1f}s wall", file=sys.stderr)
+    for family, n_range, timeout_ms in STUDIES:
+        code = fpcsat([
+            "bench", "--family", family, "--n-range", n_range,
+            "--seed", str(args.seed), "--seeds-per-n", str(args.seeds_per_n),
+            "--ratio", str(args.ratio), "--timeout-ms", str(timeout_ms),
+            "--out", str(out_dir / f"{family.replace('-', '_')}.csv"),
+        ])
+        if code:
+            return code
     return 0
 
 

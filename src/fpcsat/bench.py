@@ -18,6 +18,7 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 from .core import variables_of
 from .instances import FAMILIES, complete_minus_one, pigeonhole, random_3sat
 from .solver import RESOURCE_EXCEEDED, SolveConfig, check_sat
+from .tree import NODE_BUDGET
 
 # fixed effort-to-time conversion: frontier entries scanned per virtual
 # millisecond.  Never recalibrated at runtime, because determinism matters
@@ -118,7 +119,7 @@ def run_family(
     seeds_per_n: int = 1,
     ratio: float = 4.3,
     timeout_ms: float = 10_000.0,
-    node_budget: int = 1 << 24,
+    node_budget: int = NODE_BUDGET,
     workers: int = 1,
     on_record: Callable[[BenchRecord], None] | None = None,
 ) -> list[BenchRecord]:

@@ -17,7 +17,7 @@ from .dimacs import DimacsError, parse_dimacs, write_result
 from .instances import FAMILIES
 from .oracle import VariableLimitError, brute_force_sat
 from .solver import SolveConfig, SolveResult, check_sat
-from .tree import pack
+from .tree import NODE_BUDGET, pack
 
 # bench loads inside bench, cardinality inside stats and preprocess: solve,
 # oracle and verify do not pay for importing them (or statistics and csv)
@@ -26,12 +26,11 @@ EXIT_CODES = {"SAT": 10, "UNSAT": 20, "RESOURCE_EXCEEDED": 30}
 
 
 def _read_formula(path: str) -> Formula:
-    if path == "-":
-        text = sys.stdin.read()
-    else:
-        # a bad byte becomes U+FFFD: ignored in a comment, a parse error in a clause
-        with open(path, "r", encoding="utf-8", errors="replace") as fh:
-            text = fh.read()
+    # stdin reads as a file does: a bad byte becomes U+FFFD (ignored in a
+    # comment, a parse error in a clause) and a bare CR ends a line
+    with open(sys.stdin.fileno() if path == "-" else path, encoding="utf-8",
+              errors="replace", closefd=path != "-") as fh:
+        text = fh.read()
     doc = parse_dimacs(text)
     for w in doc.warnings:
         print(f"warning: {w}", file=sys.stderr)
@@ -193,7 +192,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", help="decide satisfiability")
     add_input(p)
-    p.add_argument("--max-nodes", type=int, default=1 << 24,
+    p.add_argument("--max-nodes", type=int, default=NODE_BUDGET,
                    help="cap on the surviving fully populated clauses held at once"
                         " (default 2^24)")
     p.add_argument("--all-models", action="store_true",
@@ -210,7 +209,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="cross-check solver against the oracle")
     add_input(p)
-    p.add_argument("--max-nodes", type=int, default=1 << 24)
+    p.add_argument("--max-nodes", type=int, default=NODE_BUDGET)
     p.add_argument("--limit-vars", type=int, default=20)
     p.set_defaults(func=_cmd_verify)
 
@@ -233,7 +232,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seeds-per-n", type=int, default=3)
     p.add_argument("--timeout-ms", type=float, default=10_000.0,
                    help="per-instance budget in deterministic effort milliseconds")
-    p.add_argument("--max-nodes", type=int, default=1 << 24)
+    p.add_argument("--max-nodes", type=int, default=NODE_BUDGET)
     p.add_argument("--workers", type=int, default=1)
     p.add_argument("--out", required=True, help="CSV output path")
     p.set_defaults(func=_cmd_bench)

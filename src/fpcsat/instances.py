@@ -6,7 +6,7 @@ from __future__ import annotations
 import random
 
 from .core import Formula
-from .oracle import complete_formula, enumerate_fpcs, power_set
+from .oracle import complete_formula, power_set
 
 # the families ``bench.run_family`` builds
 FAMILIES = ("random3sat", "pigeonhole", "complete-minus-one")
@@ -75,12 +75,10 @@ def pigeonhole(k: int) -> Formula:
     return Formula.from_clauses(clauses)
 
 
-def complete_minus_one(n: int, fpc_index: int = 0) -> Formula:
-    """The complete formula over n variables minus the power set of one
-    fully populated clause; satisfiable exactly by that clause's falsifying
-    assignment.  Has 3^n - 2^n clauses."""
+def complete_minus_one(n: int) -> Formula:
+    """The complete formula over n variables minus the power set of the
+    all-positive fully populated clause {1, ..., n}; satisfiable exactly by the
+    all-false assignment, which falsifies that clause.  Has 3^n - 2^n clauses."""
     v = frozenset(range(1, n + 1))
-    fpcs = enumerate_fpcs(v)
-    target = fpcs[fpc_index % len(fpcs)]
-    remaining = complete_formula(v).clauses - power_set(target)
+    remaining = complete_formula(v).clauses - power_set(v)
     return Formula(clauses=remaining, original_count=len(remaining))

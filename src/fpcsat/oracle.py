@@ -87,7 +87,7 @@ def brute_force_sat(
     model list; the verdict is unaffected.
     """
     varset = variables_of(f) if variables is None else frozenset(variables)
-    if not varset >= variables_of(f):
+    if variables is not None and not varset >= variables_of(f):
         raise ValueError("explicit variable set must cover the formula's variables")
     ordered = sorted(varset)
     _check_limit(len(ordered), limit_vars, "brute_force_sat")
@@ -145,7 +145,7 @@ def condition_check(
     power-set enumeration.
     """
     varset = variables_of(f) if variables is None else frozenset(variables)
-    if not varset >= variables_of(f):
+    if variables is not None and not varset >= variables_of(f):
         raise ValueError("explicit variable set must cover the formula's variables")
     ordered = sorted(varset)
     n = len(ordered)

@@ -11,7 +11,7 @@ survivors.
 from __future__ import annotations
 
 import time
-from typing import Callable
+from typing import Callable, NamedTuple, Sequence
 
 from .core import (
     Clause,
@@ -22,63 +22,43 @@ from .core import (
     is_tautology,
     normalize,
 )
-from .tree import BudgetExceeded, FpcTree, decode_fpcs
+from .tree import NODE_BUDGET, BudgetExceeded, FpcTree, decode_fpcs
 
 SAT = "SAT"
 UNSAT = "UNSAT"
 RESOURCE_EXCEEDED = "RESOURCE_EXCEEDED"
 
 
-class SolveConfig:
-    def __init__(
-        self,
-        node_budget: int = 1 << 24,
-        report_all_models: bool = False,
-        sort_clauses: bool = True,
-        # deterministic effort cap in frontier entries scanned; None = unlimited
-        work_budget: int | None = None,
-        # per-clause hook, used by tests: called after each processed clause
-        trace: Callable[[Clause, FpcTree], None] | None = None,
-    ):
-        if node_budget < 1:
-            raise ValueError("node_budget must be >= 1")
-        self.node_budget = node_budget
-        self.report_all_models = report_all_models
-        self.sort_clauses = sort_clauses
-        self.work_budget = work_budget
-        self.trace = trace
+class SolveConfig(NamedTuple):
+    node_budget: int = NODE_BUDGET
+    report_all_models: bool = False
+    sort_clauses: bool = True
+    # deterministic effort cap in frontier entries scanned; None = unlimited
+    work_budget: int | None = None
+    # per-clause hook, used by tests: called after each processed clause
+    trace: Callable[[Clause, FpcTree], None] | None = None
 
 
-class SolveStats:
-    def __init__(self):
-        self.clauses_processed = 0
-        self.tautologies_skipped = 0
-        self.duplicates_removed = 0
-        self.peak_nodes = 0
-        self.eliminations = 0
-        self.elapsed_time = 0.0
-        self.work = 0
-        self.exceeded: str | None = None  # "nodes" or "work" when budget tripped
+class SolveStats(NamedTuple):
+    clauses_processed: int = 0
+    tautologies_skipped: int = 0
+    duplicates_removed: int = 0
+    peak_nodes: int = 0
+    eliminations: int = 0
+    elapsed_time: float = 0.0
+    work: int = 0
+    exceeded: str | None = None  # "nodes" or "work" when budget tripped
 
 
-class SolveResult:
-    """A verdict and, for SAT, its models as the frontier packs them:
-    ``order`` is the registration order and ``entries`` the reported FPCs
-    (all with ``report_all_models``, else the first).  Bit ``k-1-i`` of an
-    entry is 1 when its FPC holds ``order[i]`` positively, so when the model
-    that falsifies it sets ``order[i]`` false."""
+class SolveResult(NamedTuple):
+    """A verdict and, for SAT, its models as frontier entries (see ``tree``)
+    over the registration ``order``: all surviving ones with
+    ``report_all_models``, else the first."""
 
-    def __init__(
-        self,
-        verdict: str,
-        order: list[int] | None = None,
-        entries: list[int] | None = None,
-        stats: SolveStats | None = None,
-    ):
-        self.verdict = verdict
-        self.order = [] if order is None else order
-        self.entries = [] if entries is None else entries
-        self.stats = SolveStats() if stats is None else stats
+    verdict: str
+    order: Sequence[int] = ()
+    entries: Sequence[int] = ()
+    stats: SolveStats = SolveStats()
 
     @property
     def absent_fpcs(self) -> list[Clause]:
@@ -97,49 +77,47 @@ def model_from_fpc(c: Clause) -> dict[int, bool]:
     return {abs(lit): lit < 0 for lit in c}
 
 
-def check_sat(f: Formula, cfg: SolveConfig | None = None) -> SolveResult:
-    cfg = cfg or SolveConfig()
+def check_sat(f: Formula, cfg: SolveConfig = SolveConfig()) -> SolveResult:
     start = time.perf_counter()
-    stats = SolveStats()
-
     report = normalize(f)
-    stats.duplicates_removed = report.duplicates_removed
-
-    def finish(verdict: str, tree: FpcTree | None = None, order=(), entries=()):
-        if tree is not None:
-            stats.peak_nodes = tree.peak_nodes
-            stats.eliminations = tree.eliminations
-            stats.work = tree.work
-        stats.elapsed_time = time.perf_counter() - start
-        return SolveResult(verdict, list(order), list(entries), stats)
-
-    if report.has_empty_clause:
-        return finish(UNSAT)
-
-    clauses = effective_clauses(f, report.tautologies)
-    stats.tautologies_skipped = len(f.clauses) - len(clauses)
-    if cfg.sort_clauses:
-        clauses.sort(key=elimination_order_key)
-    else:
-        # deterministic but cardinality-blind order
-        clauses.sort(key=canonical_literals)
-
+    # built first, so that a node budget below 1 fails even on the empty clause
     tree = FpcTree(node_budget=cfg.node_budget, work_limit=cfg.work_budget)
-    try:
-        for c in clauses:
-            # new variables register in ascending order, as they first appear
-            for var in sorted(abs(lit) for lit in c):
-                if not tree.is_registered(var):
-                    tree.register_variable(var)
-            tree.eliminate(c)
-            stats.clauses_processed += 1
-            if cfg.trace is not None:
-                cfg.trace(c, tree)
-            if not tree.frontier:
-                return finish(UNSAT, tree=tree)
-    except BudgetExceeded as exc:
-        stats.exceeded = exc.kind
-        return finish(RESOURCE_EXCEEDED, tree=tree)
+    verdict, exceeded, processed, skipped = UNSAT, None, 0, 0
+    if not report.has_empty_clause:
+        verdict = SAT
+        clauses = effective_clauses(f, report.tautologies)
+        skipped = len(f.clauses) - len(clauses)
+        # the paper's cardinality-first order, or a deterministic cardinality-blind one
+        clauses.sort(key=elimination_order_key if cfg.sort_clauses else canonical_literals)
+        try:
+            for c in clauses:
+                # new variables register in ascending order, as they first appear
+                for var in sorted(abs(lit) for lit in c):
+                    if not tree.is_registered(var):
+                        tree.register_variable(var)
+                tree.eliminate(c)
+                processed += 1
+                if cfg.trace is not None:
+                    cfg.trace(c, tree)
+                if not tree.frontier:
+                    verdict = UNSAT
+                    break
+        except BudgetExceeded as exc:
+            verdict, exceeded = RESOURCE_EXCEEDED, exc.kind
 
-    entries = tree.frontier if cfg.report_all_models else tree.frontier[:1]
-    return finish(SAT, tree, tree.insertion_order, entries)
+    order, entries = [], []
+    if verdict == SAT:
+        order = tree.insertion_order
+        entries = tree.frontier if cfg.report_all_models else tree.frontier[:1]
+    stats = SolveStats(
+        clauses_processed=processed,
+        tautologies_skipped=skipped,
+        duplicates_removed=report.duplicates_removed,
+        # the empty clause decides the solve before the frontier holds anything
+        peak_nodes=0 if report.has_empty_clause else tree.peak_nodes,
+        eliminations=tree.eliminations,
+        elapsed_time=time.perf_counter() - start,
+        work=tree.work,
+        exceeded=exceeded,
+    )
+    return SolveResult(verdict, order, entries, stats)

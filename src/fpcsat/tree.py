@@ -29,6 +29,8 @@ from typing import Iterable
 
 from .core import Clause
 
+NODE_BUDGET = 1 << 24  # default cap on frontier entries, everywhere
+
 
 class BudgetExceeded(Exception):
     """An operation would cross a budget; ``kind`` is "nodes" or "work"."""
@@ -76,7 +78,7 @@ class FpcTree:
     as it was.
     """
 
-    def __init__(self, node_budget: int = 1 << 24, work_limit: int | None = None):
+    def __init__(self, node_budget: int = NODE_BUDGET, work_limit: int | None = None):
         if node_budget < 1:
             raise ValueError("node_budget must be >= 1")
         self.frontier: list[int] = [0]

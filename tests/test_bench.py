@@ -76,7 +76,8 @@ def test_pigeonhole_instances():
 def test_complete_minus_one_instance():
     f = complete_minus_one(3)
     assert len(f.clauses) == 3**3 - 2**3 == 19
-    assert brute_force_sat(f, collect_models=False).satisfiable
+    # the one model falsifies the all-positive FPC, whose power set is missing
+    assert brute_force_sat(f).models == ({1: False, 2: False, 3: False},)
 
 
 def test_random_3sat_shape():

@@ -1,4 +1,5 @@
 import hashlib
+import os
 import random
 import subprocess
 import sys
@@ -46,6 +47,16 @@ def test_solve_unsat_exit_code(tmp_path):
     proc = run_cli("solve", str(path))
     assert proc.stdout == "s UNSATISFIABLE\n"
     assert proc.returncode == 20
+
+
+def test_solve_rejects_a_node_budget_below_one(tmp_path):
+    # even where the empty clause would decide the formula without a frontier
+    path = tmp_path / "empty-clause.cnf"
+    path.write_text("p cnf 0 1\n0\n")
+    proc = run_cli("solve", str(path), "--max-nodes", "0")
+    assert proc.stdout == ""
+    assert proc.stderr == "error: node_budget must be >= 1\n"
+    assert proc.returncode == 1
 
 
 def test_solve_resource_exit_code(tmp_path):
@@ -107,20 +118,35 @@ def test_parse_error_exit_code(tmp_path):
     assert "error:" in proc.stderr
 
 
-def test_non_utf8_byte_in_file(tmp_path):
-    # a Latin-1 byte in a comment is ignored; in clause data it is a parse
-    # error that names its line
-    comment = tmp_path / "latin1-comment.cnf"
-    comment.write_bytes(b"c caf\xe9\np cnf 2 1\n1 -2 0\n")
-    proc = run_cli("solve", str(comment))
-    assert proc.stdout == "s SATISFIABLE\nv 1 2 0\n"
+# solve - reads stdin exactly as solve FILE reads the file; the child decodes
+# its stdin strictly, as a UTF-8 locale other than C does
+@pytest.mark.parametrize("via", ["file", "stdin"])
+def test_non_utf8_byte_in_file(tmp_path, via):
+    def solve(data):
+        path = tmp_path / "input.cnf"
+        path.write_bytes(data)
+        return subprocess.run(
+            [sys.executable, "-m", "fpcsat", "solve", str(path) if via == "file" else "-"],
+            input=data if via == "stdin" else None,
+            capture_output=True,
+            env={**os.environ, "PYTHONIOENCODING": "utf-8:strict"},
+            timeout=120,
+        )
+
+    # a Latin-1 byte in a comment is ignored
+    proc = solve(b"c caf\xe9\np cnf 2 1\n1 -2 0\n")
+    assert proc.stdout == b"s SATISFIABLE\nv 1 2 0\n"
     assert proc.returncode == 10
 
-    clause = tmp_path / "latin1-clause.cnf"
-    clause.write_bytes(b"p cnf 2 1\n1 -2\xe9 0\n")
-    proc = run_cli("solve", str(clause))
+    # in clause data it is a parse error that names its line
+    proc = solve(b"p cnf 2 1\n1 -2\xe9 0\n")
     assert proc.returncode == 1
-    assert "line 2: non-integer token" in proc.stderr
+    assert b"line 2: non-integer token" in proc.stderr
+
+    # a bare CR ends a line
+    proc = solve(b"p cnf 1 1\r1 0\r")
+    assert proc.stdout == b"s SATISFIABLE\nv 1 0\n"
+    assert proc.returncode == 10
 
 
 def test_missing_file_exit_code():

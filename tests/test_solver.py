@@ -142,10 +142,10 @@ def test_node_budget_trips():
     assert result.verdict == RESOURCE_EXCEEDED
     assert result.stats.exceeded == "nodes"
     assert not result.models
-    # a budget below one entry is rejected when the config is built, before
-    # any solve, even one the empty clause would end at once
-    with pytest.raises(ValueError):
-        SolveConfig(node_budget=0)
+    # a budget below one entry is rejected before any solve, even one the
+    # empty clause would end at once
+    with pytest.raises(ValueError, match="node_budget must be >= 1"):
+        check_sat(Formula.from_clauses([[]]), SolveConfig(node_budget=0))
 
 
 def test_work_budget_trips():
@@ -188,6 +188,9 @@ def test_stats_reporting():
     result = check_sat(f)
     assert result.verdict == UNSAT  # empty clause
     assert result.stats.duplicates_removed == 1
+    # the empty clause decides before any clause reaches the frontier
+    s = result.stats
+    assert (s.peak_nodes, s.clauses_processed, s.work) == (0, 0, 0)
 
     f = Formula.from_clauses([[1], [2, -2]])
     result = check_sat(f)
