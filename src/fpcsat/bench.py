@@ -23,8 +23,8 @@ from .tree import NODE_BUDGET
 # fixed effort-to-time conversion: frontier entries scanned per virtual
 # millisecond.  Never recalibrated at runtime, because determinism matters
 # more than clock fidelity here.  Scanning an entry costs far less than
-# 1/2000 ms (CPython 3.11 on a 2-core x86 VM scans 10,000-12,000 entries
-# per ms on PHP(7,6)), so virtual milliseconds overstate wall time 5-6 fold.
+# 1/2000 ms (CPython 3.11 on a 2-core x86 VM scans 5,500-7,000 entries per
+# ms on PHP(7,6)), so virtual milliseconds overstate wall time about 3 fold.
 WORK_PER_MS = 2000
 
 CSV_COLUMNS = (

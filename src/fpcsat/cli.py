@@ -11,7 +11,7 @@ import argparse
 import sys
 import time
 
-from .core import EMPTY_CLAUSE, Formula, variables_of
+from .core import EMPTY_CLAUSE, Formula
 from .core import normalize  # noqa: F401  (perfbench/tracer.py wraps cli.normalize)
 from .dimacs import DimacsError, parse_dimacs, write_result
 from .instances import FAMILIES
@@ -63,8 +63,9 @@ def _cmd_oracle(args) -> int:
     result = brute_force_sat(f, limit_vars=args.limit_vars)
     fpcs = result.falsified_fpc_per_model
     verdict = "SAT" if result.satisfiable else "UNSAT"
-    # pack the FPC each model falsifies as the frontier would
-    order = sorted(variables_of(f))
+    # pack the FPC each model falsifies as the frontier would, over the
+    # variables every such FPC holds
+    order = sorted(map(abs, fpcs[0])) if fpcs else []
     entries = pack(order, fpcs if args.all_models else fpcs[:1])
     sys.stdout.write(write_result(SolveResult(verdict, order, entries)))
     return EXIT_CODES[verdict]

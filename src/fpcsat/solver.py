@@ -11,6 +11,7 @@ survivors.
 from __future__ import annotations
 
 import time
+from itertools import islice
 from typing import Callable, NamedTuple, Sequence
 
 from .core import (
@@ -35,7 +36,8 @@ class SolveConfig(NamedTuple):
     sort_clauses: bool = True
     # deterministic effort cap in frontier entries scanned; None = unlimited
     work_budget: int | None = None
-    # per-clause hook, used by tests: called after each processed clause
+    # per-clause hook, used by tests: called once per applied clause, in
+    # processing order, after the frontier pass that applied it
     trace: Callable[[Clause, FpcTree], None] | None = None
 
 
@@ -82,26 +84,44 @@ def check_sat(f: Formula, cfg: SolveConfig = SolveConfig()) -> SolveResult:
     report = normalize(f)
     # built first, so that a node budget below 1 fails even on the empty clause
     tree = FpcTree(node_budget=cfg.node_budget, work_limit=cfg.work_budget)
-    verdict, exceeded, processed, skipped = UNSAT, None, 0, 0
+    verdict, exceeded, skipped = UNSAT, None, 0
     if not report.has_empty_clause:
         verdict = SAT
         clauses = effective_clauses(f, report.tautologies)
         skipped = len(f.clauses) - len(clauses)
         # the paper's cardinality-first order, or a deterministic cardinality-blind one
         clauses.sort(key=elimination_order_key if cfg.sort_clauses else canonical_literals)
-        try:
-            for c in clauses:
-                # new variables register in ascending order, as they first appear
-                for var in sorted(abs(lit) for lit in c):
-                    if not tree.is_registered(var):
-                        tree.register_variable(var)
-                tree.eliminate(c)
-                processed += 1
+        registered = tree.is_registered
+
+        def apply(first: int, stop: int) -> None:
+            # the run of clauses between two registrations, as one call
+            if first == stop:
+                return
+            done = tree.applied
+            try:
+                tree.eliminate(islice(clauses, first, stop))
+            finally:
                 if cfg.trace is not None:
-                    cfg.trace(c, tree)
+                    for c in clauses[first : first + tree.applied - done]:
+                        cfg.trace(c, tree)
+
+        try:
+            first = 0
+            for i, c in enumerate(clauses):
+                if all(map(registered, map(abs, c))):
+                    continue
+                apply(first, i)
                 if not tree.frontier:
-                    verdict = UNSAT
                     break
+                # new variables register in ascending order, as they first appear
+                for var in sorted(map(abs, c)):
+                    if not registered(var):
+                        tree.register_variable(var)
+                first = i
+            else:
+                apply(first, len(clauses))
+            if not tree.frontier:
+                verdict = UNSAT
         except BudgetExceeded as exc:
             verdict, exceeded = RESOURCE_EXCEEDED, exc.kind
 
@@ -110,7 +130,7 @@ def check_sat(f: Formula, cfg: SolveConfig = SolveConfig()) -> SolveResult:
         order = tree.insertion_order
         entries = tree.frontier if cfg.report_all_models else tree.frontier[:1]
     stats = SolveStats(
-        clauses_processed=processed,
+        clauses_processed=tree.applied,
         tautologies_skipped=skipped,
         duplicates_removed=report.duplicates_removed,
         # the empty clause decides the solve before the frontier holds anything

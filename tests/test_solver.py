@@ -5,7 +5,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import corpus
-from fpcsat.core import Formula, evaluate_formula, variables_of
+from fpcsat.core import (
+    Formula,
+    canonical_literals,
+    effective_clauses,
+    elimination_order_key,
+    evaluate_formula,
+    normalize,
+    variables_of,
+)
+from fpcsat.instances import pigeonhole
 from fpcsat.oracle import brute_force_sat, condition_check, enumerate_fpcs
 from fpcsat.solver import (
     RESOURCE_EXCEEDED,
@@ -15,6 +24,7 @@ from fpcsat.solver import (
     check_sat,
     model_from_fpc,
 )
+from fpcsat.tree import BudgetExceeded, FpcTree
 
 
 def fs(*lits):
@@ -222,3 +232,48 @@ def test_first_model_is_leftmost_dfs():
         all_models = check_sat(f, SolveConfig(report_all_models=True))
         assert len(all_models.models) == count
         assert result.absent_fpcs == all_models.absent_fpcs[:1]
+
+
+def reference_check_sat(f, cfg):
+    """check_sat as one frontier pass per clause: register the clause's new
+    variables, eliminate it alone, stop when the frontier closes."""
+    report = normalize(f)
+    tree = FpcTree(node_budget=cfg.node_budget)
+    if report.has_empty_clause:
+        return UNSAT, [], [], 0, 0, 0, 0
+    clauses = effective_clauses(f, report.tautologies)
+    clauses.sort(key=elimination_order_key if cfg.sort_clauses else canonical_literals)
+    verdict, processed = SAT, 0
+    try:
+        for c in clauses:
+            for var in sorted(abs(lit) for lit in c):
+                if not tree.is_registered(var):
+                    tree.register_variable(var)
+            tree.eliminate([c])
+            processed += 1
+            if not tree.frontier:
+                verdict = UNSAT
+                break
+    except BudgetExceeded:
+        verdict = RESOURCE_EXCEEDED
+    entries = tree.frontier if verdict == SAT else []
+    order = tree.insertion_order if verdict == SAT else []
+    return (verdict, order, entries, tree.peak_nodes, tree.eliminations, processed, tree.work)
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [SolveConfig(), SolveConfig(sort_clauses=False), SolveConfig(node_budget=64)],
+    ids=["sorted", "unsorted", "budget64"],
+)
+def test_runs_between_registrations_match_one_pass_per_clause(cfg):
+    cfg = cfg._replace(report_all_models=True)
+    formulas = [pigeonhole(k) for k in range(2, 6)]
+    formulas += corpus(seed=12, count=150, n_max=10, m_factor=4)
+    for f in formulas:
+        result = check_sat(f, cfg)
+        s = result.stats
+        verdict, order, entries, peak, eliminations, processed, work = reference_check_sat(f, cfg)
+        assert (result.verdict, list(result.order), list(result.entries)) == (verdict, order, entries)
+        assert (s.peak_nodes, s.eliminations, s.clauses_processed) == (peak, eliminations, processed)
+        assert s.work <= work

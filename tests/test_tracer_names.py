@@ -57,7 +57,7 @@ def test_tracer_instruments_every_name(tmp_path):
     assert calls["solver.check_sat"] == 2
     # each solve registers x3, x1, x2 and eliminates the 4 non-tautologies
     assert calls["tree.register"] == 6
-    assert calls["tree.eliminate"] == 8
+    assert calls["tree.eliminate"] == 6
     assert calls["cardinality.profile"] == 1
     assert calls["cardinality.preprocess"] == 1
 

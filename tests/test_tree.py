@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import corpus
+from conftest import clauses, corpus
 from fpcsat.core import effective_clauses, normalize, variables_of
 from fpcsat.oracle import condition_check
 from fpcsat.solver import SAT, SolveResult
@@ -55,13 +55,13 @@ def test_register_duplicate_raises():
 def test_register_on_closed_tree():
     t = FpcTree()
     t.register_variable(1)
-    t.eliminate(fs(1))
-    t.eliminate(fs(-1))
+    t.eliminate([fs(1)])
+    t.eliminate([fs(-1)])
     assert t.frontier == []
     t.register_variable(2)
     assert t.frontier == []
     assert t.insertion_order == [1, 2]
-    t.eliminate(fs(2))  # x2 is registered, so this is no error
+    t.eliminate([fs(2)])  # x2 is registered, so this is no error
     assert t.open_fpcs() == []
 
 
@@ -69,11 +69,11 @@ def test_eliminate_fig2_sequence():
     # F = {{-x1}, {x1, -x2}} leaves exactly the path (x1, x2) open
     t = FpcTree()
     t.register_variable(1)
-    t.eliminate(fs(-1))
+    t.eliminate([fs(-1)])
     assert t.open_fpcs() == [fs(1)]
     t.register_variable(2)
     assert t.open_fpcs() == [fs(1, -2), fs(1, 2)]
-    t.eliminate(fs(1, -2))
+    t.eliminate([fs(1, -2)])
     assert t.open_fpcs() == [fs(1, 2)]
 
 
@@ -81,7 +81,7 @@ def test_eliminate_empty_clause_closes_tree():
     t = FpcTree()
     t.register_variable(1)
     t.register_variable(2)
-    t.eliminate(frozenset())
+    t.eliminate([frozenset()])
     assert t.open_fpcs() == []
     assert t.frontier == []
     assert t.eliminations == 4
@@ -91,17 +91,17 @@ def test_eliminate_unregistered_variable():
     t = FpcTree()
     t.register_variable(1)
     with pytest.raises(UnregisteredVariableError):
-        t.eliminate(fs(2))
+        t.eliminate([fs(2)])
 
 
 def test_eliminate_both_polarities_closes():
     t = FpcTree()
     t.register_variable(1)
-    t.eliminate(fs(1, -1))  # a tautology is a subset of no FPC
+    t.eliminate([fs(1, -1)])  # a tautology is a subset of no FPC
     assert t.open_fpcs() == [fs(-1), fs(1)]
-    t.eliminate(fs(1))
+    t.eliminate([fs(1)])
     assert t.frontier == [0b0]
-    t.eliminate(fs(-1))
+    t.eliminate([fs(-1)])
     assert t.frontier == []
 
 
@@ -120,7 +120,7 @@ def test_budget_checked_before_doubling():
     # the cap is on frontier entries: 2 entries fit a budget of 2, 4 do not
     t = FpcTree(node_budget=4)
     t.register_variable(1)
-    t.eliminate(fs(-1))
+    t.eliminate([fs(-1)])
     t.register_variable(2)
     t.register_variable(3)
     assert len(t.frontier) == 4
@@ -134,11 +134,11 @@ def test_peak_nodes_tracks_frontier_size():
     for var in (1, 2, 3):
         t.register_variable(var)
     assert len(t.frontier) == t.peak_nodes == 8
-    t.eliminate(fs(-1))
+    t.eliminate([fs(-1)])
     assert len(t.frontier) == 4
     assert t.eliminations == 4
     assert t.peak_nodes == 8
-    t.eliminate(fs(1, 2, 3))
+    t.eliminate([fs(1, 2, 3)])
     assert t.open_fpcs() == [fs(1, -2, -3), fs(1, -2, 3), fs(1, 2, -3)]
     assert t.eliminations == 5
     assert len(t.frontier) == len(t.open_fpcs())
@@ -148,10 +148,10 @@ def test_eliminate_is_idempotent():
     t = FpcTree()
     for var in (1, 2, 3):
         t.register_variable(var)
-    t.eliminate(fs(1, -2))
+    t.eliminate([fs(1, -2)])
     snapshot = t.open_fpcs()
     eliminated = t.eliminations
-    t.eliminate(fs(1, -2))
+    t.eliminate([fs(1, -2)])
     assert t.open_fpcs() == snapshot
     assert t.eliminations == eliminated
 
@@ -173,12 +173,71 @@ def test_elimination_order_independent(clause_list, rng):
         for var in range(1, 6):
             t.register_variable(var)
         for c in order:
-            t.eliminate(c)
+            t.eliminate([c])
         return t.open_fpcs()
 
     shuffled = clause_list[:]
     rng.shuffle(shuffled)
     assert build(clause_list) == build(shuffled + clause_list)
+
+
+@st.composite
+def frontiers_and_runs(draw):
+    """A registration order, clauses applied one at a time between its
+    registrations, and a run of clauses over the registered variables
+    (tautologies and closing clauses among them)."""
+    order = draw(st.permutations(range(1, draw(st.integers(1, 6)) + 1)))
+    prefix = [draw(st.lists(clauses(var, 3).filter(bool), max_size=3)) for var in order]
+    run = draw(st.lists(clauses(len(order), 4), max_size=12))
+    return order, prefix, run
+
+
+@settings(max_examples=300, deadline=None)
+@given(frontiers_and_runs())
+def test_eliminate_run_matches_clause_by_clause(case):
+    order, prefix, run = case
+
+    def built():
+        t = FpcTree()
+        for var, cs in zip(order, prefix):
+            t.register_variable(var)
+            for c in cs:
+                if all(map(t.is_registered, map(abs, c))):
+                    t.eliminate([c])
+        return t
+
+    batched, single = built(), built()
+    batched.eliminate(run)
+    for c in run:
+        single.eliminate([c])
+    assert batched.frontier == single.frontier
+    assert batched.eliminations == single.eliminations
+    assert batched.applied == single.applied
+    assert batched.work <= single.work
+
+
+def test_eliminate_run_stops_at_the_closing_clause():
+    t = FpcTree()
+    for var in (1, 2):
+        t.register_variable(var)
+    # {-1} and {1} share one pass (2 patterns over x1, 4 entries); {1} closes
+    t.eliminate([fs(-1), fs(1, -1), fs(1), fs(2), fs(-2)])
+    assert t.frontier == []
+    assert (t.applied, t.eliminations, t.work) == (3, 4, 1 + 2 + 4)
+    t.eliminate([fs(2)])  # a closed frontier applies nothing
+    assert t.applied == 3
+
+
+def test_work_limit_trips_between_passes_of_a_run():
+    # {1, -2} and {2} forbid 3 patterns over x1, x2 against 2 entries: two
+    # passes, and the second crosses the limit
+    t = FpcTree(work_limit=9)
+    t.register_variable(1)
+    t.register_variable(2)
+    t.eliminate([fs(-1)])
+    with pytest.raises(BudgetExceeded):
+        t.eliminate([fs(1, -2), fs(2)])
+    assert (t.frontier, t.applied, t.work) == ([0b11], 2, 9)
 
 
 def test_open_fpcs_matches_condition_check_n12():
@@ -187,7 +246,7 @@ def test_open_fpcs_matches_condition_check_n12():
         for var in sorted(variables_of(f)):
             t.register_variable(var)
         for c in effective_clauses(f, normalize(f).tautologies):
-            t.eliminate(c)
+            t.eliminate([c])
         assert set(t.open_fpcs()) == set(condition_check(f))
 
 
@@ -199,7 +258,7 @@ def test_open_fpcs_matches_condition_check():
         for var in variables:
             t.register_variable(var)
         for c in effective_clauses(f, normalize(f).tautologies):
-            t.eliminate(c)
+            t.eliminate([c])
         survivors = set(t.open_fpcs())
         expected = set(condition_check(f))
         assert survivors == expected
@@ -219,7 +278,7 @@ def test_work_limit_aborts():
     assert state(t) == before
     assert not t.is_registered(3)
     with pytest.raises(BudgetExceeded) as exc:
-        t.eliminate(fs(1))
+        t.eliminate([fs(1)])
     assert exc.value.kind == "work"
     assert state(t) == before
 
@@ -235,7 +294,7 @@ def test_open_fpcs_order_is_depth_first_negative_first():
             t.register_variable(var)
         for _ in range(rng.randint(0, 4)):
             lits = rng.sample(order, rng.randint(1, len(order))) if order else []
-            t.eliminate(frozenset(v if rng.random() < 0.5 else -v for v in lits))
+            t.eliminate([frozenset(v if rng.random() < 0.5 else -v for v in lits)])
 
         def dfs_key(fpc):
             return [1 if v in fpc else 0 for v in order]
