@@ -24,6 +24,7 @@ from typing import NamedTuple
 from .core import (
     Clause,
     Formula,
+    is_tautology,
     variables_of,
 )
 
@@ -141,13 +142,11 @@ def literal_counts(f: Formula) -> tuple[Counter, Counter, list[Clause]]:
     number of clauses holding each literal, the number holding each variable
     in either polarity, and the tautologies."""
     literals = Counter(chain.from_iterable(f.clauses))
-    either: Counter = Counter()
-    tautologies = []
-    for c in f.clauses:
-        variables = set(map(abs, c))
-        either.update(variables)
-        if len(variables) != len(c):
-            tautologies.append(c)
+    tautologies = list(filter(is_tautology, f.clauses))
+    either = Counter({abs(lit): literals[lit] + literals[-lit] for lit in literals})
+    # a tautology holding both literals of a variable counts once for it
+    for c in tautologies:
+        either.subtract(lit for lit in c if lit > 0 and -lit in c)
     return literals, either, tautologies
 
 

@@ -9,6 +9,7 @@ formula is always true).
 
 from __future__ import annotations
 
+from itertools import chain
 from operator import neg
 from typing import Iterable, Mapping, NamedTuple
 
@@ -136,11 +137,7 @@ def is_tautology(c: Clause) -> bool:
 
 def variables_of(f: Formula) -> VariableSet:
     """The minimal variable set the formula ranges over (occurring variables)."""
-    out: set[int] = set()
-    for c in f.clauses:
-        for lit in c:
-            out.add(abs(lit))
-    return frozenset(out)
+    return frozenset(map(abs, chain.from_iterable(f.clauses)))
 
 
 def evaluate_clause(c: Clause, a: Assignment) -> bool:

@@ -91,7 +91,7 @@ def check_sat(f: Formula, cfg: SolveConfig = SolveConfig()) -> SolveResult:
         skipped = len(f.clauses) - len(clauses)
         # the paper's cardinality-first order, or a deterministic cardinality-blind one
         clauses.sort(key=elimination_order_key if cfg.sort_clauses else canonical_literals)
-        registered = tree.is_registered
+        registered = tree.literals.issuperset
 
         def apply(first: int, stop: int) -> None:
             # the run of clauses between two registrations, as one call
@@ -108,14 +108,14 @@ def check_sat(f: Formula, cfg: SolveConfig = SolveConfig()) -> SolveResult:
         try:
             first = 0
             for i, c in enumerate(clauses):
-                if all(map(registered, map(abs, c))):
+                if registered(c):
                     continue
                 apply(first, i)
                 if not tree.frontier:
                     break
                 # new variables register in ascending order, as they first appear
                 for var in sorted(map(abs, c)):
-                    if not registered(var):
+                    if not tree.is_registered(var):
                         tree.register_variable(var)
                 first = i
             else:

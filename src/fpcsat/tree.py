@@ -24,6 +24,16 @@ Several clauses share one pass: their forbidden sign patterns over the union
 ``m & u not in F``.  The frontier after the run is the one clause-by-clause
 passes leave; only ``work``, the count of entries scanned, is smaller.
 
+Once one entry survives, the clauses applied so far leave a single FPC, and
+the paper's sibling-clause result makes the rest a plain model check: the
+formula stays satisfiable while no clause is a subset of that FPC.
+``eliminate`` then finishes the run that way: it decodes the entry once and
+tests each clause as ``c <= fpc``, with the set ``literals`` of registered
+literals in place of the per-literal index and its bit masks.  No pass of
+two clauses fits one entry (each has at least two sign patterns), so every
+clause would have had a pass of its own, and it is charged the same one
+entry: ``work``, ``applied`` and every budget trip are unchanged.
+
 The entries are also the models: ``check_sat`` hands them and
 ``insertion_order`` on as they are, and ``dimacs.write_result`` prints them.
 ``decode_fpcs`` turns them back into clauses, and ``pack`` packs clauses,
@@ -36,6 +46,8 @@ the last finished pass left.
 
 from __future__ import annotations
 
+from itertools import chain
+from math import inf
 from typing import Iterable
 
 from .core import Clause
@@ -101,6 +113,8 @@ class FpcTree:
         self.work = 0
         self.work_limit = work_limit
         self._index: dict[int, int] = {}
+        # both literals of every registered variable
+        self.literals: set[int] = set()
 
     def _scan(self) -> None:
         """Charge one pass over the frontier, before the pass changes it."""
@@ -128,6 +142,7 @@ class FpcTree:
         doubled[1::2] = [(m << 1) | 1 for m in frontier]
         self.frontier = doubled
         self._index[var] = len(self.insertion_order)
+        self.literals.update((var, -var))
         self.insertion_order.append(var)
         self.peak_nodes = max(self.peak_nodes, len(doubled))
 
@@ -143,12 +158,20 @@ class FpcTree:
         clause.  A tautology clause is a subset of no FPC: it is applied and
         drops nothing.  The empty clause is a subset of every FPC and closes
         the frontier.  A closed frontier applies nothing.
+
+        On a one-entry frontier, at the start of the run or after any pass
+        of it, the rest of the run is a model check (``_check``), one entry
+        scanned per clause as in a one-clause pass; a tautology is tested
+        against the entry too and costs that one entry.
         """
-        if not self.frontier:
+        cap = len(self.frontier)
+        if cap <= 1:
+            if cap:
+                self._check(clauses)
             return
         k = len(self.insertion_order)
         index = self._index
-        cap = len(self.frontier)
+        clauses = iter(clauses)  # one iterator, so that ``_check`` can take over mid-run
         applied = self.applied
         # the pending pass: its clauses' masks, each with the ``applied``
         # count it ends at, and their sign patterns over ``union``, counted
@@ -181,10 +204,37 @@ class FpcTree:
                     if self._pass(union, pending, applied - 1):
                         return
                     cap = len(self.frontier)
+                    if cap == 1:
+                        self._check(chain((c,), clauses))
+                        return
                 union, size, pending = varmask, 1, [(applied, varmask, posmask)]
         if pending and self._pass(union, pending, applied):
             return
         self.applied = applied
+
+    def _check(self, clauses: Iterable[Clause]) -> None:
+        """Apply ``clauses`` to a one-entry frontier as a model check: each
+        drops the entry exactly when it is a subset of the FPC the entry
+        spells, and is charged the one entry it is tested against."""
+        (fpc,) = decode_fpcs(self.insertion_order, self.frontier)
+        literals = self.literals
+        limit = inf if self.work_limit is None else self.work_limit
+        work, applied = self.work, self.applied
+        try:
+            for c in clauses:
+                if not literals.issuperset(c):
+                    var = next(abs(lit) for lit in c if lit not in literals)
+                    raise UnregisteredVariableError(f"variable {var} not registered")
+                if work >= limit:
+                    raise BudgetExceeded("work")
+                work += 1
+                applied += 1
+                if c <= fpc:
+                    self.frontier = []
+                    self.eliminations += 1
+                    return
+        finally:
+            self.work, self.applied = work, applied
 
     def _pass(self, union: int, pending: list[tuple[int, int, int]], applied: int) -> bool:
         """Apply the ``pending`` clauses, whose variables make up ``union``,

@@ -14,7 +14,7 @@ from fpcsat.core import (
     normalize,
     variables_of,
 )
-from fpcsat.instances import pigeonhole
+from fpcsat.instances import complete_minus_one, pigeonhole
 from fpcsat.oracle import brute_force_sat, condition_check, enumerate_fpcs
 from fpcsat.solver import (
     RESOURCE_EXCEEDED,
@@ -238,7 +238,7 @@ def reference_check_sat(f, cfg):
     """check_sat as one frontier pass per clause: register the clause's new
     variables, eliminate it alone, stop when the frontier closes."""
     report = normalize(f)
-    tree = FpcTree(node_budget=cfg.node_budget)
+    tree = FpcTree(node_budget=cfg.node_budget, work_limit=cfg.work_budget)
     if report.has_empty_clause:
         return UNSAT, [], [], 0, 0, 0, 0
     clauses = effective_clauses(f, report.tautologies)
@@ -263,17 +263,32 @@ def reference_check_sat(f, cfg):
 
 @pytest.mark.parametrize(
     "cfg",
-    [SolveConfig(), SolveConfig(sort_clauses=False), SolveConfig(node_budget=64)],
-    ids=["sorted", "unsorted", "budget64"],
+    [
+        SolveConfig(),
+        SolveConfig(sort_clauses=False),
+        SolveConfig(node_budget=64),
+        SolveConfig(node_budget=8),
+        SolveConfig(work_budget=50),
+    ],
+    ids=["sorted", "unsorted", "budget64", "budget8", "work50"],
 )
 def test_runs_between_registrations_match_one_pass_per_clause(cfg):
     cfg = cfg._replace(report_all_models=True)
     formulas = [pigeonhole(k) for k in range(2, 6)]
+    # a frontier of at most two entries: all but a few clauses meet one entry
+    formulas += [complete_minus_one(n) for n in range(1, 6)]
     formulas += corpus(seed=12, count=150, n_max=10, m_factor=4)
+    unbudgeted = cfg._replace(work_budget=None)
     for f in formulas:
         result = check_sat(f, cfg)
         s = result.stats
         verdict, order, entries, peak, eliminations, processed, work = reference_check_sat(f, cfg)
+        # without a pass of several clauses, every pass scans what the reference's does
+        shared = check_sat(f, unbudgeted).stats.work < reference_check_sat(f, unbudgeted)[-1]
+        if shared and verdict == RESOURCE_EXCEEDED and cfg.work_budget is not None:
+            # the work budget trips no earlier than in the reference, if at all
+            assert s.clauses_processed >= processed
+            continue
         assert (result.verdict, list(result.order), list(result.entries)) == (verdict, order, entries)
         assert (s.peak_nodes, s.eliminations, s.clauses_processed) == (peak, eliminations, processed)
-        assert s.work <= work
+        assert s.work < work if shared else s.work == work

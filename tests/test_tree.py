@@ -181,34 +181,50 @@ def test_elimination_order_independent(clause_list, rng):
     assert build(clause_list) == build(shuffled + clause_list)
 
 
+def built(order, prefix):
+    """A frontier over ``order``, with each clause of ``prefix`` applied on
+    its own as soon as its variables have registered."""
+    t = FpcTree()
+    for var, cs in zip(order, prefix):
+        t.register_variable(var)
+        for c in cs:
+            if t.literals.issuperset(c):
+                t.eliminate([c])
+    return t
+
+
 @st.composite
 def frontiers_and_runs(draw):
     """A registration order, clauses applied one at a time between its
     registrations, and a run of clauses over the registered variables
-    (tautologies and closing clauses among them)."""
+    (tautologies and closing clauses among them).  In some runs, unit
+    clauses cut the frontier down to one drawn survivor mid-run; the last
+    item is the number of clauses that leaves the survivor alone, or None."""
     order = draw(st.permutations(range(1, draw(st.integers(1, 6)) + 1)))
     prefix = [draw(st.lists(clauses(var, 3).filter(bool), max_size=3)) for var in order]
     run = draw(st.lists(clauses(len(order), 4), max_size=12))
-    return order, prefix, run
+    fpcs = built(order, prefix).open_fpcs()
+    if not fpcs or not draw(st.booleans()):
+        return order, prefix, run, None
+    survivor = draw(st.sampled_from(fpcs))
+    # each unit clause drops the FPCs that differ from the survivor on its variable
+    cut = draw(st.permutations([frozenset([-lit]) for lit in survivor]))
+    at = draw(st.integers(0, len(run)))
+    before = [c for c in run[:at] if not c <= survivor]
+    after = draw(st.lists(clauses(len(order), 4), min_size=1, max_size=6))
+    return order, prefix, before + cut + after, len(before) + len(cut)
 
 
 @settings(max_examples=300, deadline=None)
 @given(frontiers_and_runs())
 def test_eliminate_run_matches_clause_by_clause(case):
-    order, prefix, run = case
-
-    def built():
-        t = FpcTree()
-        for var, cs in zip(order, prefix):
-            t.register_variable(var)
-            for c in cs:
-                if all(map(t.is_registered, map(abs, c))):
-                    t.eliminate([c])
-        return t
-
-    batched, single = built(), built()
+    order, prefix, run, alone = case
+    batched, single = built(order, prefix), built(order, prefix)
     batched.eliminate(run)
-    for c in run:
+    for i, c in enumerate(run):
+        if i == alone:
+            # the drawn run does leave one entry before its last clauses
+            assert len(single.frontier) == 1
         single.eliminate([c])
     assert batched.frontier == single.frontier
     assert batched.eliminations == single.eliminations
@@ -238,6 +254,66 @@ def test_work_limit_trips_between_passes_of_a_run():
     with pytest.raises(BudgetExceeded):
         t.eliminate([fs(1, -2), fs(2)])
     assert (t.frontier, t.applied, t.work) == ([0b11], 2, 9)
+
+
+def one_entry():
+    """A frontier over x1, x2 cut to the one entry 0b11, the FPC {1, 2}:
+    1 + 2 entries scanned registering, 4 in the pass of {-1} and {-2}."""
+    t = FpcTree()
+    t.register_variable(1)
+    t.register_variable(2)
+    t.eliminate([fs(-1), fs(-2)])
+    assert (t.frontier, t.applied, t.work, t.eliminations) == ([0b11], 2, 7, 3)
+    return t
+
+
+def test_one_entry_left_mid_run_finishes_as_a_model_check():
+    t = FpcTree()
+    t.register_variable(1)
+    t.register_variable(2)
+    # {-1} and {-2} fill one pass (4 patterns over x1, x2, 4 entries), which
+    # leaves one entry; each clause after it is tested against that entry
+    t.eliminate([fs(-1), fs(-2), fs(-1, 2), fs(1, -2), fs(1, 2), fs(-2)])
+    assert (t.frontier, t.applied, t.work, t.eliminations) == ([], 5, 1 + 2 + 4 + 3, 4)
+
+
+def test_one_entry_work_limit_trips_at_the_clause():
+    # as one-clause passes would: 8 and 9 fit the limit, the third clause does not
+    t = one_entry()
+    t.work_limit = 9
+    with pytest.raises(BudgetExceeded) as exc:
+        t.eliminate([fs(-1), fs(-1, 2), fs(1, -2), fs(1, 2)])
+    assert exc.value.kind == "work"
+    assert (t.frontier, t.applied, t.work, t.eliminations) == ([0b11], 4, 9, 3)
+    with pytest.raises(BudgetExceeded):
+        t.eliminate([fs(1, 2)])
+    assert (t.frontier, t.applied, t.work) == ([0b11], 4, 9)
+
+
+def test_one_entry_unregistered_variable_changes_nothing():
+    t = one_entry()
+    before = (state(t), t.applied)
+    for c in (fs(3), fs(1, 3), fs(3, -3)):
+        with pytest.raises(UnregisteredVariableError):
+            t.eliminate([c])
+        assert (state(t), t.applied) == before
+
+
+def test_one_entry_tautology_and_empty_clause():
+    t = one_entry()
+    # a tautology is a subset of no FPC; it is tested against the entry
+    # like any clause, so it costs one entry scanned
+    t.eliminate([fs(1, -1)])
+    assert (t.frontier, t.applied, t.work, t.eliminations) == ([0b11], 3, 8, 3)
+    # the empty clause is a subset of every FPC
+    t.eliminate([frozenset(), fs(1)])
+    assert (t.frontier, t.applied, t.work, t.eliminations) == ([], 4, 9, 4)
+    t.eliminate([fs(1, 2)])  # a closed frontier applies nothing
+    assert (t.applied, t.work) == (4, 9)
+    # before any variable registers, the one entry spells the empty FPC
+    t = FpcTree()
+    t.eliminate([frozenset()])
+    assert (t.frontier, t.applied, t.work, t.eliminations) == ([], 1, 1, 1)
 
 
 def test_open_fpcs_matches_condition_check_n12():
