@@ -20,11 +20,11 @@ from .instances import FAMILIES, complete_minus_one, pigeonhole, random_3sat
 from .solver import RESOURCE_EXCEEDED, SolveConfig, check_sat
 from .tree import NODE_BUDGET
 
-# fixed effort-to-time conversion: frontier entries scanned per virtual
-# millisecond.  Never recalibrated at runtime, because determinism matters
-# more than clock fidelity here.  Scanning an entry costs far less than
-# 1/2000 ms (CPython 3.11 on a 2-core x86 VM scans 5,500-7,000 entries per
-# ms on PHP(7,6)), so virtual milliseconds overstate wall time about 3 fold.
+# fixed effort-to-time conversion: frontier entries scanned per virtual ms,
+# never recalibrated at runtime: determinism beats clock fidelity here.  The
+# traced run in BENCH_10.json (CPython 3.11, 2-core x86 VM) scans, per ms of
+# tree time, 12,222 entries on php (6.1x), 14,922 on models (7.5x), 8,689 on
+# rand3sat (4.3x) and 2,784 on cmo (1.4x: one entry charged per clause).
 WORK_PER_MS = 2000
 
 CSV_COLUMNS = (
@@ -227,17 +227,18 @@ def _loglog_slope(xs: Sequence[float], ys: Sequence[float]) -> float:
 def fit_growth(records: Sequence[BenchRecord]) -> GrowthReport:
     """Classify measured growth of peak frontier size against variable count.
 
-    Only finished runs count: timed-out and budget-tripped records carry a
-    censored peak and would bias the fit.  The per-variable growth ratio for
+    Only finished runs over n >= 1 variables count: timed-out and budget-tripped
+    records carry a censored peak and would bias the fit, and a formula over no
+    variables has no per-variable growth.  The per-variable growth ratio for
     a step n1 -> n2 is (p2/p1)^(1/(n2-n1)); a sequence hovering near 2 means
     each added variable doubles the frontier, near 1 means subexponential.  The
     label comes from the median of the later half of that sequence, where
     small-n transients have died down.
     """
-    usable = [r for r in records if not r.timed_out and r.verdict != RESOURCE_EXCEEDED]
     by_n: dict[int, list[BenchRecord]] = {}
-    for r in usable:
-        by_n.setdefault(r.n, []).append(r)
+    for r in records:
+        if r.n and not r.timed_out and r.verdict != RESOURCE_EXCEEDED:
+            by_n.setdefault(r.n, []).append(r)
     if len(by_n) < 4:
         raise InsufficientDataError(
             f"need records for >= 4 distinct n values, have {len(by_n)}"

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import time
 from itertools import islice
-from typing import Callable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from .core import (
     Clause,
@@ -36,9 +36,6 @@ class SolveConfig(NamedTuple):
     sort_clauses: bool = True
     # deterministic effort cap in frontier entries scanned; None = unlimited
     work_budget: int | None = None
-    # per-clause hook, used by tests: called once per applied clause, in
-    # processing order, after the frontier pass that applied it
-    trace: Callable[[Clause, FpcTree], None] | None = None
 
 
 class SolveStats(NamedTuple):
@@ -92,34 +89,21 @@ def check_sat(f: Formula, cfg: SolveConfig = SolveConfig()) -> SolveResult:
         # the paper's cardinality-first order, or a deterministic cardinality-blind one
         clauses.sort(key=elimination_order_key if cfg.sort_clauses else canonical_literals)
         registered = tree.literals.issuperset
-
-        def apply(first: int, stop: int) -> None:
-            # the run of clauses between two registrations, as one call
-            if first == stop:
-                return
-            done = tree.applied
-            try:
-                tree.eliminate(islice(clauses, first, stop))
-            finally:
-                if cfg.trace is not None:
-                    for c in clauses[first : first + tree.applied - done]:
-                        cfg.trace(c, tree)
-
         try:
-            first = 0
+            first = 0  # each run of clauses between two registrations is one call
             for i, c in enumerate(clauses):
                 if registered(c):
                     continue
-                apply(first, i)
+                if first < i:
+                    tree.eliminate(islice(clauses, first, i))
                 if not tree.frontier:
                     break
-                # new variables register in ascending order, as they first appear
-                for var in sorted(map(abs, c)):
-                    if not tree.is_registered(var):
-                        tree.register_variable(var)
+                # new variables, ascending; each once, as no clause is a tautology
+                for var in sorted(map(abs, c - tree.literals)):
+                    tree.register_variable(var)
                 first = i
-            else:
-                apply(first, len(clauses))
+            if tree.frontier and first < len(clauses):
+                tree.eliminate(islice(clauses, first, None))
             if not tree.frontier:
                 verdict = UNSAT
         except BudgetExceeded as exc:

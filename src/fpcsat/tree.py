@@ -16,11 +16,13 @@ the clause's bits and ``posmask`` its positive ones, every ``m`` with
 ``m & varmask == posmask``.  Plain ascending int order is the tree's
 depth-first order, negative branch first.
 
-``eliminate`` takes a run of clauses, as ``check_sat`` hands it the clauses
-between two registrations (under the max-variable tie-break, the clauses
-whose last variable just registered: a "bucket" of bucket elimination).
-Several clauses share one pass: their forbidden sign patterns over the union
-``u`` of their variables form a set ``F``, and the pass keeps each ``m`` with
+``eliminate`` takes a run of clauses over registered variables, as
+``check_sat`` hands it the clauses between two registrations (under the
+max-variable tie-break, the clauses whose last variable just registered: a
+"bucket" of bucket elimination).  ``check_sat`` tests registration once per
+clause, to find where a run ends, and the tree relies on that test.  Several
+clauses share one pass: their forbidden sign patterns over the union ``u``
+of their variables form a set ``F``, and the pass keeps each ``m`` with
 ``m & u not in F``.  The frontier after the run is the one clause-by-clause
 passes leave; only ``work``, the count of entries scanned, is smaller.
 
@@ -28,11 +30,11 @@ Once one entry survives, the clauses applied so far leave a single FPC, and
 the paper's sibling-clause result makes the rest a plain model check: the
 formula stays satisfiable while no clause is a subset of that FPC.
 ``eliminate`` then finishes the run that way: it decodes the entry once and
-tests each clause as ``c <= fpc``, with the set ``literals`` of registered
-literals in place of the per-literal index and its bit masks.  No pass of
-two clauses fits one entry (each has at least two sign patterns), so every
-clause would have had a pass of its own, and it is charged the same one
-entry: ``work``, ``applied`` and every budget trip are unchanged.
+tests each clause as ``c <= fpc``, in place of the per-literal index and its
+bit masks.  No pass of two clauses fits one entry (each has at least two
+sign patterns), so every clause would have had a pass of its own, and it is
+charged the same one entry: ``work``, ``applied`` and every budget trip are
+unchanged.
 
 The entries are also the models: ``check_sat`` hands them and
 ``insertion_order`` on as they are, and ``dimacs.write_result`` prints them.
@@ -101,7 +103,7 @@ class FpcTree:
     ``work_limit`` raises ``BudgetExceeded`` and leaves the state as it was.
     """
 
-    def __init__(self, node_budget: int = NODE_BUDGET, work_limit: int | None = None):
+    def __init__(self, node_budget: int = NODE_BUDGET, work_limit: float | None = None):
         if node_budget < 1:
             raise ValueError("node_budget must be >= 1")
         self.frontier: list[int] = [0]
@@ -111,7 +113,7 @@ class FpcTree:
         self.eliminations = 0
         self.applied = 0
         self.work = 0
-        self.work_limit = work_limit
+        self.work_limit = inf if work_limit is None else work_limit
         self._index: dict[int, int] = {}
         # both literals of every registered variable
         self.literals: set[int] = set()
@@ -119,12 +121,9 @@ class FpcTree:
     def _scan(self) -> None:
         """Charge one pass over the frontier, before the pass changes it."""
         work = self.work + len(self.frontier)
-        if self.work_limit is not None and work > self.work_limit:
+        if work > self.work_limit:
             raise BudgetExceeded("work")
         self.work = work
-
-    def is_registered(self, var: int) -> bool:
-        return var in self._index
 
     def register_variable(self, var: int) -> None:
         """Extend every surviving FPC by both literals of ``var``; an empty
@@ -148,7 +147,9 @@ class FpcTree:
 
     def eliminate(self, clauses: Iterable[Clause]) -> None:
         """Apply ``clauses`` in order, each dropping every surviving FPC it is
-        a subset of, and stop at the clause that closes the frontier.
+        a subset of, and stop at the clause that closes the frontier.  Every
+        variable of ``clauses`` must be registered (``check_sat`` makes sure);
+        only a pass over two or more entries checks it.
 
         Consecutive clauses share one pass over the frontier while their
         forbidden sign patterns over the union of their variables number no
@@ -217,14 +218,9 @@ class FpcTree:
         drops the entry exactly when it is a subset of the FPC the entry
         spells, and is charged the one entry it is tested against."""
         (fpc,) = decode_fpcs(self.insertion_order, self.frontier)
-        literals = self.literals
-        limit = inf if self.work_limit is None else self.work_limit
-        work, applied = self.work, self.applied
+        work, applied, limit = self.work, self.applied, self.work_limit
         try:
             for c in clauses:
-                if not literals.issuperset(c):
-                    var = next(abs(lit) for lit in c if lit not in literals)
-                    raise UnregisteredVariableError(f"variable {var} not registered")
                 if work >= limit:
                     raise BudgetExceeded("work")
                 work += 1

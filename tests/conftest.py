@@ -1,9 +1,11 @@
 import random
+from contextlib import contextmanager
 
 from hypothesis import strategies as st
 
 from fpcsat.core import Formula
 from fpcsat.instances import random_formula
+from fpcsat.tree import FpcTree
 
 
 def literals(max_var: int = 8):
@@ -48,3 +50,25 @@ def corpus(seed: int, count: int, n_max: int = 12, m_factor: int = 4,
             empty_clause_prob=empty_clause_prob,
             duplicate_prob=duplicate_prob,
         )
+
+
+@contextmanager
+def eliminate_hook(hook):
+    """Within the block, call ``hook(tree, c)`` on each clause as
+    ``FpcTree.eliminate`` takes it from its run, in order.  A run that closes
+    the frontier may have taken clauses past the one that closed it."""
+    original = FpcTree.eliminate
+
+    def eliminate(tree, clauses):
+        def taken():
+            for c in clauses:
+                hook(tree, c)
+                yield c
+
+        return original(tree, taken())
+
+    FpcTree.eliminate = eliminate
+    try:
+        yield
+    finally:
+        FpcTree.eliminate = original

@@ -61,6 +61,15 @@ def test_fit_growth_ignores_censored_records():
     assert report.label == POLYNOMIAL
 
 
+def test_fit_growth_leaves_out_formulas_over_no_variables():
+    # complete_minus_one(0) is over no variables, so it has no per-variable growth
+    records = run_family("complete-minus-one", range(5))
+    assert [r.n for r in records] == [0, 1, 2, 3, 4]
+    report = fit_growth(records)
+    assert report.n_values == (1, 2, 3, 4)
+    assert report.label == POLYNOMIAL  # the frontier never exceeds 2 entries
+
+
 def test_fit_growth_slopes():
     report = fit_growth(synthetic([(n, n**3) for n in range(4, 15)]))
     assert abs(report.slope_peak_nodes - 3.0) < 0.05

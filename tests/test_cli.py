@@ -260,6 +260,17 @@ def test_bench_writes_csv(tmp_path):
     assert "growth_label=" in proc.stdout
 
 
+def test_bench_from_n_zero(tmp_path):
+    out = tmp_path / "bench.csv"
+    proc = run_cli(
+        "bench", "--family", "complete-minus-one", "--n-range", "0..4", "--out", str(out)
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert len(out.read_text().splitlines()) == 6  # header + 5 records
+    assert "growth_label=" in proc.stdout
+    assert "growth_label=insufficient-data" not in proc.stdout
+
+
 def test_bench_deterministic(tmp_path):
     args = (
         "bench", "--family", "random3sat", "--n-range", "5..8",

@@ -247,7 +247,7 @@ def reference_check_sat(f, cfg):
     try:
         for c in clauses:
             for var in sorted(abs(lit) for lit in c):
-                if not tree.is_registered(var):
+                if var not in tree.literals:
                     tree.register_variable(var)
             tree.eliminate([c])
             processed += 1

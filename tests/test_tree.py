@@ -4,10 +4,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import clauses, corpus
+from conftest import clauses, corpus, eliminate_hook
 from fpcsat.core import effective_clauses, normalize, variables_of
 from fpcsat.oracle import condition_check
-from fpcsat.solver import SAT, SolveResult
+from fpcsat.instances import complete_minus_one, pigeonhole
+from fpcsat.solver import SAT, SolveConfig, SolveResult, check_sat
 from fpcsat.tree import (
     BudgetExceeded,
     DuplicateVariableError,
@@ -113,7 +114,7 @@ def test_budget_exceeded_leaves_tree_unchanged():
         t.register_variable(2)
     assert exc.value.kind == "nodes"
     assert state(t) == before
-    assert not t.is_registered(2)
+    assert 2 not in t.literals
 
 
 def test_budget_checked_before_doubling():
@@ -290,13 +291,25 @@ def test_one_entry_work_limit_trips_at_the_clause():
     assert (t.frontier, t.applied, t.work) == ([0b11], 4, 9)
 
 
-def test_one_entry_unregistered_variable_changes_nothing():
-    t = one_entry()
-    before = (state(t), t.applied)
-    for c in (fs(3), fs(1, 3), fs(3, -3)):
-        with pytest.raises(UnregisteredVariableError):
-            t.eliminate([c])
-        assert (state(t), t.applied) == before
+def test_check_sat_hands_eliminate_only_registered_clauses():
+    # eliminate's precondition, which the one-entry model check relies on
+    # without testing it
+    formulas = [
+        *corpus(seed=12, count=150, n_max=9, m_factor=3),
+        *(pigeonhole(k) for k in range(2, 6)),
+        *(complete_minus_one(n) for n in range(1, 6)),
+    ]
+    taken = []
+
+    def hook(tree, c):
+        assert tree.literals.issuperset(c)
+        taken.append(c)
+
+    with eliminate_hook(hook):
+        for f in formulas:
+            for sort_clauses in (True, False):
+                check_sat(f, SolveConfig(sort_clauses=sort_clauses))
+    assert len(taken) > 1000
 
 
 def test_one_entry_tautology_and_empty_clause():
@@ -352,7 +365,7 @@ def test_work_limit_aborts():
         t.register_variable(3)
     assert exc.value.kind == "work"
     assert state(t) == before
-    assert not t.is_registered(3)
+    assert 3 not in t.literals
     with pytest.raises(BudgetExceeded) as exc:
         t.eliminate([fs(1)])
     assert exc.value.kind == "work"
