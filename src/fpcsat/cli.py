@@ -8,6 +8,7 @@ unsatisfiable, 30 resource budget exceeded, 1 usage or input errors.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import time
 
@@ -37,6 +38,14 @@ def _read_formula(path: str) -> Formula:
     return doc.to_formula()
 
 
+def _print_result(result) -> None:
+    try:  # a reader that closes stdout early leaves the verdict's exit code
+        write_result(result, sys.stdout)
+        sys.stdout.flush()
+    except BrokenPipeError:  # flushing at exit would raise again; see signal's SIGPIPE note
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+
+
 def _cmd_solve(args) -> int:
     f = _read_formula(args.file)
     cfg = SolveConfig(
@@ -45,7 +54,7 @@ def _cmd_solve(args) -> int:
         sort_clauses=not args.no_sort,
     )
     result = check_sat(f, cfg)
-    sys.stdout.write(write_result(result))
+    _print_result(result)
     s = result.stats
     print(
         f"stats: clauses_processed={s.clauses_processed}"
@@ -67,7 +76,7 @@ def _cmd_oracle(args) -> int:
     # variables every such FPC holds
     order = sorted(map(abs, fpcs[0])) if fpcs else []
     entries = pack(order, fpcs if args.all_models else fpcs[:1])
-    sys.stdout.write(write_result(SolveResult(verdict, order, entries)))
+    _print_result(SolveResult(verdict, order, entries))
     return EXIT_CODES[verdict]
 
 

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import re
-from itertools import product
 from typing import NamedTuple
 
 from .core import Clause, Formula, canonical_literals, clause_key, variables_of
@@ -150,52 +149,44 @@ def write_dimacs(f: Formula) -> str:
     return "\n".join(lines) + "\n"
 
 
-def write_result(result) -> str:
-    """SAT-competition result lines for a ``SolveResult``: one ``v`` line per
-    model, the true literal of each variable in ascending order, 0-terminated;
-    resource exhaustion renders as UNKNOWN.
+# literals per batch of v lines, the most text write_result holds at once
+BATCH_LITERALS = 1 << 16
 
-    Lookup tables over chunks of ``w`` bits permute each packed entry from
-    registration into ascending variable order, then map each chunk to its
-    pre-rendered text.  A chunk costs a fixed part, one step per table row
-    (2^w of them) and one per model, so ``w`` grows with the number of models
-    and the number of chunks falls with it."""
-    if result.verdict == "UNSAT":
-        return "s UNSATISFIABLE\n"
+
+class _Chunk(dict):
+    """The text of up to 8 variables, keyed by an entry's bits for them
+    (``m & mask``); a key is rendered the first time an entry holds it."""
+
+    def __init__(self, variables, bit):
+        self.pairs = [(v, bit[v]) for v in variables]
+        self.mask = sum(map(bit.__getitem__, variables))
+
+    def __missing__(self, key):
+        # a set bit is the FPC's positive literal, which the model falsifies
+        text = self[key] = "".join([f" -{v}" if key & b else f" {v}" for v, b in self.pairs])
+        return text
+
+
+def write_result(result, out) -> None:
+    """Write the SAT-competition result lines of a ``SolveResult`` to the text
+    stream ``out``: one ``v`` line per model, the true literal of each
+    variable in ascending order, 0-terminated; UNKNOWN on resource exhaustion.
+
+    The variables, in ascending order, fall into chunks of up to 8, each with
+    a table from an entry's bits for them to their text that holds only the
+    keys that occur, so a line costs one lookup per chunk.  Lines go out in
+    batches of about ``BATCH_LITERALS`` literals."""
     if result.verdict != "SAT":
-        return "s UNKNOWN\n"
-    order, entries = result.order, result.entries
-    k = len(order)
-    if not k:  # the one FPC over no variables, the empty clause
-        return "s SATISFIABLE\n" + "v 0\n" * len(entries)
-    ascending = sorted(order)
-    rank = {v: j for j, v in enumerate(ascending)}
-    # entry bit k-1-i is the sign of order[i]; permuted bit k-1-j that of ascending[j]
-    moves = [1 << (k - 1 - rank[v]) for v in order]
-    # a set bit is the FPC's positive literal, which the model falsifies; the
-    # first and last variable's texts open and close the line
-    texts = [(" " + v, " -" + v) for v in map(str, ascending)]
-    texts[0] = ("v" + texts[0][0], "v" + texts[0][1])
-    texts[-1] = (texts[-1][0] + " 0\n", texts[-1][1] + " 0\n")
-    # a chunk's fixed part costs about as much as 10 table rows or models
-    w = min(range(1, 9), key=lambda w: -(-k // w) * (10 + (1 << w) + len(entries)))
-    # chunk [a, b) of either list is bits k-b .. k-1-a, its first item the highest
-    spans = [(a, min(a + w, k)) for a in range(0, k, w)]
-
-    permuted = [0] * len(entries)
-    for a, b in spans:
-        table = [0]
-        for bit in reversed(moves[a:b]):
-            table += [x | bit for x in table]
-        shift, mask = k - b, (1 << (b - a)) - 1
-        permuted = [p | table[m >> shift & mask] for p, m in zip(permuted, entries)]
-    columns = []
-    for a, b in spans:
-        table = list(map("".join, product(*texts[a:b])))
-        shift, mask = k - b, (1 << (b - a)) - 1
-        columns.append([table[p >> shift & mask] for p in permuted])
-    del permuted
-    lines = ["s SATISFIABLE\n"]  # one join builds the whole text once
-    lines += [text for line in zip(*columns) for text in line]
-    del columns
-    return "".join(lines)
+        out.write("s UNSATISFIABLE\n" if result.verdict == "UNSAT" else "s UNKNOWN\n")
+        return
+    out.write("s SATISFIABLE\n")
+    k, entries = len(result.order), result.entries
+    bit = {v: 1 << (k - 1 - i) for i, v in enumerate(result.order)}  # order[i]'s sign bit
+    ascending = sorted(result.order)
+    # k = 0, the one FPC over no variables (the empty clause), is one empty chunk
+    chunks = [_Chunk(ascending[a:a + 8], bit) for a in range(0, max(k, 1), 8)]
+    per_batch = max(1, BATCH_LITERALS // max(k, 1))
+    for i in range(0, len(entries), per_batch):
+        batch = entries[i:i + per_batch]
+        lines = zip(*[map(c.__getitem__, map(c.mask.__and__, batch)) for c in chunks])
+        out.write("v" + " 0\nv".join(map("".join, lines)) + " 0\n")

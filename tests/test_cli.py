@@ -93,6 +93,28 @@ def test_all_models_listing_is_pinned(tmp_path, command):
     assert hashlib.sha256(proc.stdout.encode()).hexdigest() == ALL_MODELS_SHA256[command]
 
 
+@pytest.mark.parametrize("unbuffered", [False, True])
+@pytest.mark.parametrize("command", ["solve", "oracle"])
+def test_reader_closing_stdout_early_keeps_the_exit_code(tmp_path, command, unbuffered):
+    # 3^8 models over 16 variables, about 370 kB of v lines: far more than a
+    # pipe holds, so the writer is still writing when the reader closes
+    path = tmp_path / "pairs.cnf"
+    path.write_text("p cnf 16 8\n" + "".join(f"{v} {v + 1} 0\n" for v in range(1, 16, 2)))
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "fpcsat", command, "--all-models", str(path)],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    assert proc.stdout.readline() == b"s SATISFIABLE\n"
+    proc.stdout.close()
+    stderr = proc.stderr.read().decode()
+    assert proc.wait(timeout=120) == 10
+    for bad in ("error:", "Traceback", "Exception ignored"):
+        assert bad not in stderr
+
+
 def test_solve_flag_variants_agree(illustration):
     baseline = run_cli("solve", illustration)
     proc = run_cli("solve", illustration, "--no-sort")

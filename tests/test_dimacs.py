@@ -1,3 +1,4 @@
+import io
 import random
 
 import pytest
@@ -6,7 +7,9 @@ from hypothesis import strategies as st
 
 from conftest import formulas
 from fpcsat.core import Formula, clause_key
-from fpcsat.dimacs import DimacsError, parse_dimacs, write_dimacs, write_result
+from fpcsat.dimacs import (
+    BATCH_LITERALS, DimacsError, parse_dimacs, write_dimacs, write_result,
+)
 from fpcsat.solver import SAT, SolveConfig, SolveResult, check_sat
 
 
@@ -177,22 +180,28 @@ def test_write_parse_round_trip(f):
     assert write_dimacs(doc.to_formula()) == text
 
 
+def render(result) -> str:
+    out = io.StringIO()
+    write_result(result, out)
+    return out.getvalue()
+
+
 def test_write_result_lines():
     sat = check_sat(Formula.from_clauses([[-1], [1, -2]]))
-    assert write_result(sat) == "s SATISFIABLE\nv -1 -2 0\n"
+    assert render(sat) == "s SATISFIABLE\nv -1 -2 0\n"
 
     unsat = check_sat(Formula.from_clauses([[]]))
-    assert write_result(unsat) == "s UNSATISFIABLE\n"
+    assert render(unsat) == "s UNSATISFIABLE\n"
 
     capped = check_sat(Formula.from_clauses([[1, 2]]), SolveConfig(node_budget=1))
     assert capped.verdict == "RESOURCE_EXCEEDED"
-    assert write_result(capped) == "s UNKNOWN\n"
+    assert render(capped) == "s UNKNOWN\n"
 
 
 def test_write_result_illustration_model():
     f = Formula.from_clauses([[-1, -2], [3], [-1], [1, -2, -3]])
     result = check_sat(f)
-    assert write_result(result) == "s SATISFIABLE\nv -1 -2 3 0\n"
+    assert render(result) == "s SATISFIABLE\nv -1 -2 3 0\n"
 
 
 def reference_result(result) -> str:
@@ -210,8 +219,7 @@ def reference_result(result) -> str:
 @st.composite
 def packed_models(draw):
     """A registration order and 1-300 packed entries over it."""
-    # k crosses the chunk widths 1..8 and goes past 64 bits; 1-300 entries
-    # move the width w itself
+    # k crosses the chunk width 8 and goes past 64 bits
     k = draw(st.sampled_from([0, 1, 7, 8, 9, 16, 17, 65]))
     variables = draw(st.sets(st.integers(1, 200), min_size=k, max_size=k))
     order = draw(st.permutations(sorted(variables)))
@@ -219,15 +227,46 @@ def packed_models(draw):
     return list(order), entries
 
 
-# one model over 2,000 shuffled variables, which w splits into hundreds of chunks
+# one model over 2,000 shuffled variables, in 250 chunks
 WIDE_ORDER = random.Random(0).sample(range(1, 6001), 2000)
 WIDE_ENTRY = random.Random(1).getrandbits(2000)
+# one entry more than a batch holds at k = 2, so a batch boundary falls inside
+BATCH_ORDER = [9, 4]
+BATCH_ENTRIES = [i % 4 for i in range(BATCH_LITERALS // 2 + 1)]
 
 
 @example((WIDE_ORDER, [WIDE_ENTRY]))
+@example((BATCH_ORDER, BATCH_ENTRIES))
 @given(packed_models())
 def test_write_result_matches_per_literal_reference(case):
     order, entries = case
     for reported in (entries[:1], entries):  # solve without and with --all-models
         result = SolveResult(SAT, order, reported)
-        assert write_result(result) == reference_result(result)
+        assert render(result) == reference_result(result)
+
+
+class RecordingStream(io.StringIO):
+    """A text stream that keeps each ``write`` apart."""
+
+    def __init__(self):
+        super().__init__()
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append(text)
+        return super().write(text)
+
+
+@pytest.mark.parametrize("k", [1, 22, 2000])
+def test_write_result_writes_one_batch_at_a_time(k):
+    # no write may hold the whole listing: a batch is BATCH_LITERALS // k lines
+    per_batch = max(1, BATCH_LITERALS // k)
+    rng = random.Random(k)
+    order = rng.sample(range(1, 3 * k + 1), k)
+    entries = [rng.getrandbits(k) for _ in range(2 * per_batch + 1)]
+    out = RecordingStream()
+    write_result(SolveResult(SAT, order, entries), out)
+    lines = [text.count("\n") for text in out.writes]
+    assert sum(lines) == 1 + len(entries)
+    assert max(lines) <= per_batch
+    assert out.getvalue() == reference_result(SolveResult(SAT, order, entries))
