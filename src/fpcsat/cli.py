@@ -69,7 +69,7 @@ def _cmd_solve(args) -> int:
 
 def _cmd_oracle(args) -> int:
     f = _read_formula(args.file)
-    result = brute_force_sat(f, limit_vars=args.limit_vars)
+    result = brute_force_sat(f)
     fpcs = result.falsified_fpc_per_model
     verdict = "SAT" if result.satisfiable else "UNSAT"
     # pack the FPC each model falsifies as the frontier would, over the
@@ -82,8 +82,9 @@ def _cmd_oracle(args) -> int:
 
 def _cmd_verify(args) -> int:
     f = _read_formula(args.file)
+    # the oracle first, so that past its variable limit no solve runs at all
+    oracle_result = brute_force_sat(f, collect_models=False)
     solver_result = check_sat(f, SolveConfig(node_budget=args.max_nodes))
-    oracle_result = brute_force_sat(f, limit_vars=args.limit_vars, collect_models=False)
     oracle_verdict = "SAT" if oracle_result.satisfiable else "UNSAT"
     print(f"solver={solver_result.verdict} oracle={oracle_verdict}")
     if solver_result.verdict != oracle_verdict:
@@ -213,14 +214,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("oracle", help="brute-force truth-table verdict")
     add_input(p)
-    p.add_argument("--limit-vars", type=int, default=20)
     p.add_argument("--all-models", action="store_true")
     p.set_defaults(func=_cmd_oracle)
 
     p = sub.add_parser("verify", help="cross-check solver against the oracle")
     add_input(p)
     p.add_argument("--max-nodes", type=int, default=NODE_BUDGET)
-    p.add_argument("--limit-vars", type=int, default=20)
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("stats", help="cardinality profile of a formula")

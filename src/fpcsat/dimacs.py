@@ -6,6 +6,7 @@ import re
 from typing import NamedTuple
 
 from .core import Clause, Formula, canonical_literals, clause_key, variables_of
+from .tree import sign_bits
 
 
 class DimacsError(ValueError):
@@ -181,7 +182,7 @@ def write_result(result, out) -> None:
         return
     out.write("s SATISFIABLE\n")
     k, entries = len(result.order), result.entries
-    bit = {v: 1 << (k - 1 - i) for i, v in enumerate(result.order)}  # order[i]'s sign bit
+    bit = dict(sign_bits(result.order))
     ascending = sorted(result.order)
     # k = 0, the one FPC over no variables (the empty clause), is one empty chunk
     chunks = [_Chunk(ascending[a:a + 8], bit) for a in range(0, max(k, 1), 8)]

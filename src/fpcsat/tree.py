@@ -6,8 +6,9 @@ surviving fully populated clause (FPC) over the registered variables.  The
 tree is therefore fully described by that set of FPCs, and this module keeps
 only the set: one sorted list of ints.  With ``k`` registered variables, bit
 ``k-1-i`` of an entry is the sign of the i-th registered variable (1 = the
-positive literal).  Before any variable registers, the single entry 0 spells
-the empty clause.
+positive literal), as ``sign_bits`` lays it out for every reader of the
+entries.  Before any variable registers, the single entry 0 spells the
+empty clause.
 
 Registering a variable maps each entry ``m`` to ``m<<1`` and ``m<<1|1``.
 Eliminating a clause drops every entry that agrees with the clause on all of
@@ -20,35 +21,32 @@ depth-first order, negative branch first.
 ``check_sat`` hands it the clauses between two registrations (under the
 max-variable tie-break, the clauses whose last variable just registered: a
 "bucket" of bucket elimination).  ``check_sat`` tests registration once per
-clause, to find where a run ends, and the tree relies on that test.  Several
-clauses share one pass: their forbidden sign patterns over the union ``u``
-of their variables form a set ``F``, and the pass keeps each ``m`` with
-``m & u not in F``.  The frontier after the run is the one clause-by-clause
-passes leave; only ``work``, the count of entries scanned, is smaller.
+clause, to find where a run ends, and the tree relies on that test.  A pass
+applies one clause or several with one filter: their forbidden sign patterns
+over the union ``u`` of their variables key a table ``F``, and the pass
+keeps each ``m`` with ``m & u not in F``.  ``F`` maps each pattern to the
+first clause that forbids it, so a pass that closes the frontier reads the
+closing clause off the table, with no replay.  The frontier after the run is
+the one clause-by-clause passes leave; only ``work``, the count of entries
+scanned, is smaller.
 
-Once one entry survives, the clauses applied so far leave a single FPC, and
-the paper's sibling-clause result makes the rest a plain model check: the
-formula stays satisfiable while no clause is a subset of that FPC.
-``eliminate`` then finishes the run that way: it decodes the entry once and
-tests each clause as ``c <= fpc``, in place of the per-literal index and its
-bit masks.  No pass of two clauses fits one entry (each has at least two
-sign patterns), so every clause would have had a pass of its own, and it is
-charged the same one entry: ``work``, ``applied`` and every budget trip are
-unchanged.
+Once one entry survives, the paper's sibling-clause result makes the rest
+of the run a plain model check: the formula stays satisfiable while no
+clause is a subset of that FPC.  ``eliminate`` decodes the entry once and
+tests each clause as ``c <= fpc``.  No pass of two clauses fits one entry
+(each has at least two sign patterns), so each clause is charged the one
+entry, as in a pass of its own: ``work``, ``applied`` and every budget trip
+are unchanged.
 
 The entries are also the models: ``check_sat`` hands them and
 ``insertion_order`` on as they are, and ``dimacs.write_result`` prints them.
 ``decode_fpcs`` turns them back into clauses, and ``pack`` packs clauses,
 such as the oracle's, into them.
-
-Every budget that trips raises ``BudgetExceeded`` before the registration or
-frontier pass changes anything, so a caller that stops there sees the state
-the last finished pass left.
 """
 
 from __future__ import annotations
 
-from itertools import chain
+from itertools import chain, repeat
 from math import inf
 from typing import Iterable
 
@@ -73,7 +71,7 @@ class DuplicateVariableError(ValueError):
     pass
 
 
-def _bits(order: list[int]) -> list[tuple[int, int]]:
+def sign_bits(order: list[int]) -> list[tuple[int, int]]:
     """Each variable of ``order`` with the entry bit that holds its sign."""
     k = len(order)
     return [(var, 1 << (k - 1 - i)) for i, var in enumerate(order)]
@@ -81,13 +79,13 @@ def _bits(order: list[int]) -> list[tuple[int, int]]:
 
 def decode_fpcs(order: list[int], entries: list[int]) -> list[Clause]:
     """The FPC each entry spells over the variables ``order`` registered."""
-    bits = _bits(order)
+    bits = sign_bits(order)
     return [frozenset(v if m & b else -v for v, b in bits) for m in entries]
 
 
 def pack(order: list[int], fpcs: Iterable[Clause]) -> list[int]:
     """The entry that spells each FPC over ``order``; inverts ``decode_fpcs``."""
-    bits = _bits(order)
+    bits = sign_bits(order)
     return [sum(b for v, b in bits if v in c) for c in fpcs]
 
 
@@ -114,7 +112,6 @@ class FpcTree:
         self.applied = 0
         self.work = 0
         self.work_limit = inf if work_limit is None else work_limit
-        self._index: dict[int, int] = {}
         # both literals of every registered variable
         self.literals: set[int] = set()
 
@@ -129,7 +126,7 @@ class FpcTree:
         """Extend every surviving FPC by both literals of ``var``; an empty
         frontier stays empty.  Raises ``BudgetExceeded("nodes")`` when the
         doubled frontier would overflow the node budget."""
-        if var in self._index:
+        if var in self.literals:
             raise DuplicateVariableError(f"variable {var} already registered")
         frontier = self.frontier
         if 2 * len(frontier) > self.node_budget:
@@ -140,7 +137,6 @@ class FpcTree:
         doubled[0::2] = [m << 1 for m in frontier]
         doubled[1::2] = [(m << 1) | 1 for m in frontier]
         self.frontier = doubled
-        self._index[var] = len(self.insertion_order)
         self.literals.update((var, -var))
         self.insertion_order.append(var)
         self.peak_nodes = max(self.peak_nodes, len(doubled))
@@ -151,14 +147,15 @@ class FpcTree:
         variable of ``clauses`` must be registered (``check_sat`` makes sure);
         only a pass over two or more entries checks it.
 
-        Consecutive clauses share one pass over the frontier while their
-        forbidden sign patterns over the union of their variables number no
-        more than the entries in it (counted before overlaps merge), so
-        building the patterns costs no more than the pass they save.  The
-        frontier, ``eliminations`` and ``applied`` end as they would clause by
-        clause.  A tautology clause is a subset of no FPC: it is applied and
-        drops nothing.  The empty clause is a subset of every FPC and closes
-        the frontier.  A closed frontier applies nothing.
+        Consecutive clauses share one pass while their forbidden sign
+        patterns over the union of their variables number no more than the
+        entries in it (counted before overlaps merge), so building the
+        patterns costs no more than the pass they save.  Every pass is one
+        filter (``_pass``), which also names the closing clause.  The
+        frontier, ``eliminations`` and ``applied`` end as they would clause
+        by clause.  A tautology clause is a subset of no FPC: it is applied
+        and drops nothing.  The empty clause is a subset of every FPC and
+        closes the frontier.  A closed frontier applies nothing.
 
         On a one-entry frontier, at the start of the run or after any pass
         of it, the rest of the run is a model check (``_check``), one entry
@@ -170,8 +167,7 @@ class FpcTree:
             if cap:
                 self._check(clauses)
             return
-        k = len(self.insertion_order)
-        index = self._index
+        bits = dict(sign_bits(self.insertion_order))
         clauses = iter(clauses)  # one iterator, so that ``_check`` can take over mid-run
         applied = self.applied
         # the pending pass: its clauses' masks, each with the ``applied``
@@ -182,10 +178,9 @@ class FpcTree:
             applied += 1
             varmask = posmask = 0
             for lit in c:
-                i = index.get(abs(lit))
-                if i is None:
+                bit = bits.get(abs(lit))
+                if bit is None:
                     raise UnregisteredVariableError(f"variable {abs(lit)} not registered")
-                bit = 1 << (k - 1 - i)
                 if varmask & bit:
                     break  # tautology clause: no FPC holds both polarities
                 varmask |= bit
@@ -234,41 +229,30 @@ class FpcTree:
 
     def _pass(self, union: int, pending: list[tuple[int, int, int]], applied: int) -> bool:
         """Apply the ``pending`` clauses, whose variables make up ``union``,
-        in one pass over the frontier; without a closing clause the pass ends
-        at the ``applied`` count.  Returns whether the frontier closed."""
+        with one filter over the frontier, and return whether it closed.  A
+        closed pass ends at the clause that dropped the last entry, read off
+        the pattern table; any other ends at the ``applied`` count."""
         self._scan()
         frontier = self.frontier
-        if len(pending) == 1:
-            _, varmask, posmask = pending[0]
-            kept = [m for m in frontier if m & varmask != posmask]
-        else:
-            patterns: list[int] = []
-            for _, varmask, posmask in pending:
-                spread = [posmask]  # the clause's sign patterns over union
-                free = union & ~varmask
-                while free:
-                    bit = free & -free
-                    free ^= bit
-                    spread += [p | bit for p in spread]
-                patterns += spread
-            # a dict, not a set: a set probes clustered int keys linearly,
-            # and its misses ran about 20% slower on the passes of PHP(7,6)
-            forbidden = dict.fromkeys(patterns)
-            kept = [m for m in frontier if m & union not in forbidden]
+        # each forbidden pattern, with the ``applied`` count of the first
+        # clause that forbids it: earlier clauses overwrite later ones
+        forbidden: dict[int, int] = {}
+        for n, varmask, posmask in reversed(pending):
+            spread = [posmask]  # the clause's sign patterns over union
+            free = union & ~varmask
+            while free:
+                bit = free & -free
+                free ^= bit
+                spread += [p | bit for p in spread]
+            forbidden.update(zip(spread, repeat(n)))
+        kept = [m for m in frontier if m & union not in forbidden]
         self.frontier = kept
         self.eliminations += len(frontier) - len(kept)
         if kept:
             self.applied = applied
-            return False
-        # closed: replay the clauses one at a time (not counted in ``work``,
-        # once per solve) to count only those up to the one that closes it
-        self.applied = pending[-1][0]
-        for n, varmask, posmask in pending[:-1]:
-            frontier = [m for m in frontier if m & varmask != posmask]
-            if not frontier:
-                self.applied = n
-                break
-        return True
+        else:  # clause by clause, the last entry to go closes the frontier
+            self.applied = max(forbidden[m & union] for m in frontier)
+        return not kept
 
     def open_fpcs(self) -> list[Clause]:
         """Surviving FPCs in the tree's depth-first order (the negative

@@ -206,6 +206,20 @@ def test_verify_mismatch_is_loud(tmp_path):
     assert "MISMATCH" in proc.stderr
 
 
+def test_verify_refuses_past_the_oracle_limit_before_solving(tmp_path, monkeypatch, capsys):
+    # the solve of a formula past the oracle's 20 variables can take minutes
+    from fpcsat import cli
+
+    def no_solve(*args):
+        raise AssertionError("check_sat ran before the oracle refused")
+
+    monkeypatch.setattr(cli, "check_sat", no_solve)
+    path = tmp_path / "wide.cnf"
+    path.write_text("p cnf 21 1\n" + " ".join(map(str, range(1, 22))) + " 0\n")
+    assert cli.main(["verify", str(path)]) == 1
+    assert capsys.readouterr() == ("", "error: brute_force_sat: 21 variables exceeds limit 20\n")
+
+
 def test_bench_workers_match_serial(tmp_path):
     args = (
         "bench", "--family", "random3sat", "--n-range", "5..8",

@@ -245,6 +245,40 @@ def test_eliminate_run_stops_at_the_closing_clause():
     assert t.applied == 3
 
 
+@pytest.mark.parametrize(
+    "run, applied",
+    [
+        # {1} closes the frontier, and {-2} shares its pass after it
+        ([fs(-1), fs(1), fs(-2), fs(3)], 2),
+        # {1, 2} and {1} both forbid x1 = x2 = 1, the last entries to go:
+        # the earlier clause, {1, 2}, closes the frontier
+        ([fs(-1), fs(1, -2), fs(1, 2), fs(1), fs(3)], 3),
+        # the tautology {2, -2} between {-1} and the closing {1} is applied
+        ([fs(-1), fs(2, -2), fs(1), fs(3)], 3),
+    ],
+    ids=["closing-clause-mid-pass", "shared-pattern", "tautology"],
+)
+def test_closing_pass_ends_at_its_closing_clause(run, applied):
+    t = FpcTree()
+    for var in (1, 2, 3):
+        t.register_variable(var)
+    # the clauses before {3} (or all of them) fill one pass over the 8
+    # entries, which closes the frontier
+    t.eliminate(run)
+    assert (t.frontier, t.eliminations, t.applied, t.work) == ([], 8, applied, 1 + 2 + 4 + 8)
+
+
+def test_closing_pass_ends_at_the_last_entry_it_drops():
+    t = FpcTree()
+    for var in (1, 2, 3):
+        t.register_variable(var)
+    t.eliminate([fs(-1)])  # leaves the 4 entries with x1 positive
+    # {-1, 2} shares the pass that {1, 2} closes, but forbids only entries
+    # that are gone already
+    t.eliminate([fs(1, -2), fs(1, 2), fs(-1, 2)])
+    assert (t.frontier, t.eliminations, t.applied, t.work) == ([], 8, 3, 1 + 2 + 4 + 8 + 4)
+
+
 def test_work_limit_trips_between_passes_of_a_run():
     # {1, -2} and {2} forbid 3 patterns over x1, x2 against 2 entries: two
     # passes, and the second crosses the limit
