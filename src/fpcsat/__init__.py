@@ -11,9 +11,7 @@ from .core import (
     evaluate_clause,
     evaluate_formula,
     is_fully_populated,
-    is_subset,
     is_tautology,
-    negate,
     normalize,
     variables_of,
 )
@@ -41,10 +39,8 @@ __all__ = [
     "evaluate_formula",
     "FpcTree",
     "is_fully_populated",
-    "is_subset",
     "is_tautology",
     "model_from_fpc",
-    "negate",
     "normalize",
     "parse_dimacs",
     "SolveConfig",

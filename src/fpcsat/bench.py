@@ -27,19 +27,6 @@ from .tree import NODE_BUDGET
 # rand3sat (4.3x) and 2,784 on cmo (1.4x: one entry charged per clause).
 WORK_PER_MS = 2000
 
-CSV_COLUMNS = (
-    "family",
-    "n",
-    "clause_count",
-    "seed",
-    "verdict",
-    "elapsed_ms",
-    "peak_nodes",
-    "eliminations",
-    "timed_out",
-)
-
-
 class BenchRecord(NamedTuple):
     family: str
     n: int
@@ -66,6 +53,8 @@ class BenchRecord(NamedTuple):
 
     @staticmethod
     def from_row(row: Sequence[str]) -> "BenchRecord":
+        if len(row) != len(CSV_COLUMNS) or row[8] not in ("true", "false"):
+            raise ValueError(f"malformed record {row!r}")
         return BenchRecord(
             family=row[0],
             n=int(row[1]),
@@ -77,6 +66,9 @@ class BenchRecord(NamedTuple):
             eliminations=int(row[7]),
             timed_out=row[8] == "true",
         )
+
+
+CSV_COLUMNS = BenchRecord._fields
 
 
 def _build_instance(family: str, param: int, seed: int, ratio: float):
@@ -174,7 +166,13 @@ def read_csv(fh) -> list[BenchRecord]:
     header = next(reader)
     if list(header) != list(CSV_COLUMNS):
         raise ValueError(f"unexpected CSV header: {header}")
-    return [BenchRecord.from_row(row) for row in reader]
+    records = []
+    for row in reader:
+        try:
+            records.append(BenchRecord.from_row(row))
+        except ValueError as exc:
+            raise ValueError(f"CSV line {reader.line_num}: {exc}") from None
+    return records
 
 
 class InsufficientDataError(ValueError):

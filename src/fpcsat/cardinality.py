@@ -67,38 +67,33 @@ def total_clauses(f: Formula) -> int:
     return eval_f(f, IndicatorVectors.ones(variables_of(f)))
 
 
-def count_pos(f: Formula, i: int) -> int:
-    """Number of clauses containing the positive literal of variable ``i``."""
+def _count_zeroed(f: Formula, i: int, *indicators: str) -> int:
+    """Clauses that vanish when variable ``i``'s entries in the named
+    indicator vectors (``x``, ``xc``) are zeroed: the total minus the
+    evaluation with them at 0."""
     variables = variables_of(f)
     if i not in variables:
         return 0
     t = total_clauses(f)
     vectors = IndicatorVectors.ones(variables)
-    vectors.x[i] = 0
+    for name in indicators:
+        getattr(vectors, name)[i] = 0
     return t - eval_f(f, vectors)
+
+
+def count_pos(f: Formula, i: int) -> int:
+    """Number of clauses containing the positive literal of variable ``i``."""
+    return _count_zeroed(f, i, "x")
 
 
 def count_neg(f: Formula, i: int) -> int:
     """Number of clauses containing the negative literal of variable ``i``."""
-    variables = variables_of(f)
-    if i not in variables:
-        return 0
-    t = total_clauses(f)
-    vectors = IndicatorVectors.ones(variables)
-    vectors.xc[i] = 0
-    return t - eval_f(f, vectors)
+    return _count_zeroed(f, i, "xc")
 
 
 def count_either(f: Formula, i: int) -> int:
     """Number of clauses containing variable ``i`` in either polarity."""
-    variables = variables_of(f)
-    if i not in variables:
-        return 0
-    t = total_clauses(f)
-    vectors = IndicatorVectors.ones(variables)
-    vectors.x[i] = 0
-    vectors.xc[i] = 0
-    return t - eval_f(f, vectors)
+    return _count_zeroed(f, i, "x", "xc")
 
 
 # direct scans: the independent route used to validate the function-based counts

@@ -84,7 +84,7 @@ def _cmd_verify(args) -> int:
     f = _read_formula(args.file)
     # the oracle first, so that past its variable limit no solve runs at all
     oracle_result = brute_force_sat(f, collect_models=False)
-    solver_result = check_sat(f, SolveConfig(node_budget=args.max_nodes))
+    solver_result = check_sat(f)
     oracle_verdict = "SAT" if oracle_result.satisfiable else "UNSAT"
     print(f"solver={solver_result.verdict} oracle={oracle_verdict}")
     if solver_result.verdict != oracle_verdict:
@@ -111,7 +111,7 @@ def _cmd_stats(args) -> int:
         rows.append((f"var:{var}", "n_pos", counts.n_pos))
         rows.append((f"var:{var}", "n_neg", counts.n_neg))
         rows.append((f"var:{var}", "n_either", counts.n_either))
-    _emit_rows(rows, args.csv)
+    _emit_rows(rows)
     return 0
 
 
@@ -137,25 +137,22 @@ def _cmd_preprocess(args) -> int:
     for var, value in report.forced_literals:
         rows.append((f"var:{var}", "forced_value", int(value)))
     rows.append(("formula", "proves_unsat", str(report.proves_unsat).lower()))
-    _emit_rows(rows, args.csv)
+    _emit_rows(rows)
     return 0
 
 
-def _emit_rows(rows, as_csv: bool) -> None:
-    if as_csv:
-        print("scope,key,value")
-        for scope, key, value in rows:
-            print(f"{scope},{key},{value}")
-    else:
-        for scope, key, value in rows:
-            prefix = "" if scope == "formula" else scope + " "
-            print(f"{prefix}{key}={value}")
+def _emit_rows(rows) -> None:
+    for scope, key, value in rows:
+        prefix = "" if scope == "formula" else scope + " "
+        print(f"{prefix}{key}={value}")
 
 
 def _parse_range(text: str) -> list[int]:
     lo, sep, hi = text.partition("..")
     if not sep:
         return [int(text)]
+    if int(hi) < int(lo):
+        raise ValueError(f"--n-range {text} is empty: B must be >= A")
     return list(range(int(lo), int(hi) + 1))
 
 
@@ -219,17 +216,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="cross-check solver against the oracle")
     add_input(p)
-    p.add_argument("--max-nodes", type=int, default=NODE_BUDGET)
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("stats", help="cardinality profile of a formula")
     add_input(p)
-    p.add_argument("--csv", action="store_true", help="machine-readable CSV output")
     p.set_defaults(func=_cmd_stats)
 
     p = sub.add_parser("preprocess", help="cardinality bounds and forced literals")
     add_input(p)
-    p.add_argument("--csv", action="store_true", help="machine-readable CSV output")
     p.set_defaults(func=_cmd_preprocess)
 
     p = sub.add_parser("bench", help="scaling study over an instance family")

@@ -29,19 +29,6 @@ class UnassignedVariableError(KeyError):
     """Raised when an evaluation touches a variable the assignment omits."""
 
 
-def literal(var: int, negative: bool = False) -> Literal:
-    if var < 1:
-        raise ValueError(f"variable index must be >= 1, got {var}")
-    return -var if negative else var
-
-
-def negate(lit: Literal) -> Literal:
-    """Complement of a literal; an involution."""
-    if lit == 0:
-        raise ValueError("0 is not a literal")
-    return -lit
-
-
 def clause(lits: Iterable[int]) -> Clause:
     c = frozenset(lits)
     if 0 in c:
@@ -82,52 +69,20 @@ def elimination_order_key(c: Clause) -> tuple[int, int, tuple[int, ...]]:
     return (len(keys), keys[-1] >> 1 if keys else 0, keys)
 
 
-class Formula:
+class Formula(NamedTuple):
     """A CNF formula with set semantics; immutable, equal and hashed by value.
 
     ``original_count`` remembers how many clauses were supplied before
     deduplication, so normalization can report what it dropped.
     """
 
-    __slots__ = ("clauses", "original_count")
-
     clauses: frozenset[Clause]
     original_count: int
-
-    def __init__(self, clauses: frozenset[Clause], original_count: int):
-        object.__setattr__(self, "clauses", clauses)
-        object.__setattr__(self, "original_count", original_count)
 
     @staticmethod
     def from_clauses(cs: Iterable[Iterable[int]]) -> "Formula":
         seen = [clause(c) for c in cs]
         return Formula(clauses=frozenset(seen), original_count=len(seen))
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.clauses, self.original_count) == (other.clauses, other.original_count)
-
-    def __hash__(self) -> int:
-        return hash((self.clauses, self.original_count))
-
-    def __repr__(self) -> str:
-        return f"Formula(clauses={self.clauses!r}, original_count={self.original_count!r})"
-
-    def __reduce__(self):
-        return Formula, (self.clauses, self.original_count)
-
-    def __iter__(self):
-        return iter(self.clauses)
-
-    def __len__(self) -> int:
-        return len(self.clauses)
 
 
 def is_tautology(c: Clause) -> bool:
@@ -171,11 +126,6 @@ def are_siblings(a: Clause, b: Clause, v: VariableSet) -> bool:
     if not (is_fully_populated(a, v) and is_fully_populated(b, v)):
         return False
     return any(-lit in b for lit in a)
-
-
-def is_subset(c: Clause, d: Clause) -> bool:
-    """Polarity-sensitive literal inclusion."""
-    return c <= d
 
 
 class NormalizeReport(NamedTuple):

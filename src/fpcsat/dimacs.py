@@ -17,9 +17,7 @@ class DimacsDocument(NamedTuple):
     declared_vars: int
     declared_clauses: int
     clauses: list[Clause]
-    comments: list[str]
     warnings: list[str]
-    duplicate_literals_collapsed: int
 
     def to_formula(self) -> Formula:
         return Formula(clauses=frozenset(self.clauses), original_count=len(self.clauses))
@@ -42,7 +40,7 @@ def _check_tokens(line: str, lineno: int) -> None:
         raise DimacsError(f"line {lineno}: non-integer token {token!r}")
 
 
-def parse_dimacs(text: str | bytes) -> DimacsDocument:
+def parse_dimacs(text: str) -> DimacsDocument:
     """Parse DIMACS CNF text.
 
     Clauses are whitespace-separated signed integers terminated by 0 and may
@@ -56,11 +54,7 @@ def parse_dimacs(text: str | bytes) -> DimacsDocument:
     U+001C-U+001F, which ``int()``, ``str.split()`` or ``str.splitlines()``
     would read, are errors.
     """
-    if isinstance(text, bytes):
-        text = text.decode("utf-8", errors="replace")
-
     declared_vars = declared_clauses = -1
-    comments: list[str] = []
     warnings: list[str] = []
     clauses: list[Clause] = []
     current: set[int] = set()
@@ -73,7 +67,6 @@ def parse_dimacs(text: str | bytes) -> DimacsDocument:
     for lineno, line in enumerate(text.split("\n"), start=1):
         stripped = line.strip()
         if stripped.startswith("c"):
-            comments.append(stripped[1:].lstrip())
             continue
         if check:
             _check_tokens(line, lineno)
@@ -129,9 +122,7 @@ def parse_dimacs(text: str | bytes) -> DimacsDocument:
         declared_vars=declared_vars,
         declared_clauses=declared_clauses,
         clauses=clauses,
-        comments=comments,
         warnings=warnings,
-        duplicate_literals_collapsed=collapsed,
     )
 
 

@@ -111,11 +111,11 @@ def brute_force_sat(
     )
 
 
-def enumerate_fpcs(v: VariableSet, limit_vars: int = 20) -> list[Clause]:
+def enumerate_fpcs(v: VariableSet) -> list[Clause]:
     """All 2^n fully populated clauses over ``v``; over the empty set the
     single FPC is the empty clause.  Positive polarity enumerates first."""
     ordered = sorted(v)
-    _check_limit(len(ordered), limit_vars, "enumerate_fpcs")
+    _check_limit(len(ordered), 20, "enumerate_fpcs")
     out = []
     for signs in itertools.product((1, -1), repeat=len(ordered)):
         out.append(frozenset(s * var for s, var in zip(signs, ordered)))
@@ -132,11 +132,7 @@ def power_set(c: Clause) -> set[Clause]:
     return out
 
 
-def condition_check(
-    f: Formula,
-    variables: VariableSet | None = None,
-    limit_vars: int = 20,
-) -> list[Clause]:
+def condition_check(f: Formula, variables: VariableSet | None = None) -> list[Clause]:
     """Fully populated clauses over the formula's variables none of whose
     subsets occur in the formula (tautology clauses ignored).
 
@@ -149,7 +145,7 @@ def condition_check(
         raise ValueError("explicit variable set must cover the formula's variables")
     ordered = sorted(varset)
     n = len(ordered)
-    _check_limit(n, limit_vars, "condition_check")
+    _check_limit(n, 20, "condition_check")
     slot = {v: j for j, v in enumerate(ordered)}
 
     masks = []
@@ -180,11 +176,11 @@ def condition_check(
     return out
 
 
-def complete_formula(v: VariableSet, limit_vars: int = 12) -> Formula:
+def complete_formula(v: VariableSet) -> Formula:
     """All 3^n non-tautology clauses over ``v``, the empty clause included:
     each variable occurs positively, negatively or not at all."""
     ordered = sorted(v)
-    _check_limit(len(ordered), limit_vars, "complete_formula")
+    _check_limit(len(ordered), 12, "complete_formula")
     clauses = frozenset(
         frozenset(s * var for s, var in zip(choice, ordered) if s != 0)
         for choice in itertools.product((1, -1, 0), repeat=len(ordered))

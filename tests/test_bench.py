@@ -141,6 +141,20 @@ def test_csv_round_trip():
     assert read_csv(buf) == records
 
 
+@pytest.mark.parametrize("cut", ["inside-last-field", "inside-third-field"])
+def test_read_csv_rejects_a_torn_row(cut):
+    record = BenchRecord("random3sat", 16, 69, 5, "UNSAT", 10000.0, 4096, 88, True)
+    buf = io.StringIO()
+    write_csv_header(buf)
+    append_csv_record(buf, record)
+    text = buf.getvalue()
+    assert text.endswith(",true\r\n")
+    # a row cut to ",tr" must not read as timed_out=False
+    torn = text[:-4] if cut == "inside-last-field" else text[:text.index(",69,") + 2]
+    with pytest.raises(ValueError, match="CSV line 2: malformed record"):
+        read_csv(io.StringIO(torn))
+
+
 def test_csv_header_contract():
     buf = io.StringIO()
     write_csv_header(buf)

@@ -1,14 +1,18 @@
+import argparse
 import hashlib
 import os
 import random
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from fpcsat.dimacs import write_dimacs
 from fpcsat.instances import random_3sat
 
+README = Path(__file__).resolve().parents[1] / "README.md"
 ILLUSTRATION_CNF = "p cnf 3 4\n-1 -2 0\n3 0\n-1 0\n1 -2 -3 0\n"
 
 
@@ -196,14 +200,18 @@ def test_verify_agreement(illustration):
     assert proc.stdout == "solver=SAT oracle=SAT\n"
 
 
-def test_verify_mismatch_is_loud(tmp_path):
-    # a starved node budget forces RESOURCE_EXCEEDED against the oracle's SAT
+def test_verify_mismatch_is_loud(tmp_path, monkeypatch, capsys):
+    # a solver that runs out of budget disagrees with the oracle's SAT
+    from fpcsat import cli
+    from fpcsat.solver import RESOURCE_EXCEEDED, SolveResult
+
+    monkeypatch.setattr(cli, "check_sat", lambda f: SolveResult(RESOURCE_EXCEEDED))
     path = tmp_path / "sat.cnf"
     path.write_text("p cnf 2 1\n1 2 0\n")
-    proc = run_cli("verify", str(path), "--max-nodes", "1")
-    assert proc.returncode == 2
-    assert "solver=RESOURCE_EXCEEDED oracle=SAT" in proc.stdout
-    assert "MISMATCH" in proc.stderr
+    assert cli.main(["verify", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert "solver=RESOURCE_EXCEEDED oracle=SAT" in out
+    assert "MISMATCH" in err
 
 
 def test_verify_refuses_past_the_oracle_limit_before_solving(tmp_path, monkeypatch, capsys):
@@ -255,22 +263,19 @@ def test_stats_output(illustration):
     assert "clauses=4" in proc.stdout
     assert "var:1 n_neg=2" in proc.stdout
 
-    csv_proc = run_cli("stats", illustration, "--csv")
-    assert csv_proc.stdout.splitlines()[0] == "scope,key,value"
-
 
 def test_stats_counts_duplicates_tautologies_and_the_empty_clause(tmp_path):
     path = tmp_path / "noisy.cnf"
     path.write_text("p cnf 2 5\n1 -1 0\n2 0\n2 0\n0\n-2 1 0\n")
-    proc = run_cli("stats", "--csv", str(path))
+    proc = run_cli("stats", str(path))
     assert proc.returncode == 0
-    assert proc.stdout.splitlines()[1:7] == [
-        "formula,clauses,4",
-        "formula,effective_clauses,3",
-        "formula,variables,2",
-        "formula,duplicates_removed,1",
-        "formula,tautology_clauses,1",
-        "formula,has_empty_clause,true",
+    assert proc.stdout.splitlines()[:6] == [
+        "clauses=4",
+        "effective_clauses=3",
+        "variables=2",
+        "duplicates_removed=1",
+        "tautology_clauses=1",
+        "has_empty_clause=true",
     ]
 
 
@@ -281,6 +286,33 @@ def test_preprocess_output(tmp_path):
     assert proc.returncode == 0
     assert "var:1 forced_value=1" in proc.stdout
     assert "proves_unsat=false" in proc.stdout
+
+
+def test_bench_rejects_a_reversed_range(tmp_path, capsys):
+    from fpcsat import cli
+
+    out = tmp_path / "bench.csv"
+    assert cli.main(["bench", "--n-range", "14..8", "--out", str(out)]) == 1
+    assert capsys.readouterr() == ("", "error: --n-range 14..8 is empty: B must be >= A\n")
+    assert not out.exists()
+
+
+def test_readme_synopsis_names_every_option():
+    from fpcsat.cli import build_parser
+
+    synopsis = README.read_text(encoding="utf-8").split("## CLI\n\n```\n", 1)[1].split("```", 1)[0]
+    documented, command = {}, None
+    for line in synopsis.splitlines():
+        line = line.split("#", 1)[0]
+        if line.startswith("fpcsat "):
+            command = line.split()[1]
+        documented.setdefault(command, set()).update(re.findall(r"--[a-z][a-z-]*", line))
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    defined = {
+        name: {o for a in p._actions for o in a.option_strings if o != "--help" and o.startswith("--")}
+        for name, p in sub.choices.items()
+    }
+    assert documented == defined
 
 
 def test_bench_writes_csv(tmp_path):

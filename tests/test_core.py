@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import clauses, literals
+from conftest import clauses
 from fpcsat.core import (
     EMPTY_CLAUSE,
     Formula,
@@ -15,9 +15,7 @@ from fpcsat.core import (
     evaluate_clause,
     evaluate_formula,
     is_fully_populated,
-    is_subset,
     is_tautology,
-    negate,
     normalize,
     variables_of,
 )
@@ -25,23 +23,6 @@ from fpcsat.core import (
 
 def fs(*lits):
     return frozenset(lits)
-
-
-def test_negate_flips_polarity():
-    assert negate(1) == -1
-    assert negate(-3) == 3
-    assert negate(negate(2)) == 2
-
-
-@given(literals())
-def test_negate_involution(lit):
-    assert negate(negate(lit)) == lit
-    assert abs(negate(lit)) == abs(lit)
-
-
-def test_negate_rejects_zero():
-    with pytest.raises(ValueError):
-        negate(0)
 
 
 def test_clause_rejects_zero():
@@ -105,13 +86,6 @@ def test_are_siblings():
     assert not are_siblings(fs(1), fs(1, -2), v)
     # tautology inputs are simply not siblings, no error
     assert not are_siblings(fs(1, -1), fs(1, 2), v)
-
-
-def test_is_subset():
-    assert is_subset(fs(-1), fs(-1, -2))
-    assert not is_subset(fs(1), fs(-1, -2))
-    assert is_subset(EMPTY_CLAUSE, fs(1, 2))
-    assert is_subset(EMPTY_CLAUSE, EMPTY_CLAUSE)
 
 
 def test_formula_dedup_and_original_count():
