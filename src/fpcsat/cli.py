@@ -160,9 +160,19 @@ def _cmd_bench(args) -> int:
     from . import bench as bench_mod
 
     n_values = _parse_range(args.n_range)
+    if args.seeds_per_n < 1:
+        raise ValueError(f"--seeds-per-n {args.seeds_per_n} is below 1")
     started = time.perf_counter()
-    with open(args.out, "w", encoding="utf-8", newline="") as fh:
-        bench_mod.write_csv_header(fh)
+    fh = None  # made with the first record, so that a run failing before it leaves no CSV
+
+    def append(record):
+        nonlocal fh
+        if fh is None:
+            fh = open(args.out, "w", encoding="utf-8", newline="")
+            bench_mod.write_csv_header(fh)
+        bench_mod.append_csv_record(fh, record)
+
+    try:
         records = bench_mod.run_family(
             args.family,
             n_values,
@@ -172,8 +182,11 @@ def _cmd_bench(args) -> int:
             timeout_ms=args.timeout_ms,
             node_budget=args.max_nodes,
             workers=args.workers,
-            on_record=lambda r: bench_mod.append_csv_record(fh, r),
+            on_record=append,
         )
+    finally:
+        if fh is not None:
+            fh.close()
     print(f"family={args.family}")
     print(f"records={len(records)}")
     try:
@@ -206,7 +219,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--all-models", action="store_true",
                    help="print one model per surviving fully populated clause")
     p.add_argument("--no-sort", action="store_true",
-                   help="disable ascending-cardinality clause ordering")
+                   help="order clauses by their canonical literals, not by cardinality")
     p.set_defaults(func=_cmd_solve)
 
     p = sub.add_parser("oracle", help="brute-force truth-table verdict")

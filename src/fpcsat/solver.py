@@ -11,8 +11,9 @@ survivors.
 from __future__ import annotations
 
 import time
+from bisect import bisect_right
 from itertools import islice
-from typing import NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .core import (
     Clause,
@@ -86,24 +87,50 @@ def check_sat(f: Formula, cfg: SolveConfig = SolveConfig()) -> SolveResult:
         verdict = SAT
         clauses = effective_clauses(f, report.tautologies)
         skipped = len(f.clauses) - len(clauses)
-        # the paper's cardinality-first order, or a deterministic cardinality-blind one
-        clauses.sort(key=elimination_order_key if cfg.sort_clauses else canonical_literals)
+        # the paper's cardinality-first order, each class ordered once the
+        # solve reaches it; or a deterministic cardinality-blind one, one class
+        clauses.sort(key=len if cfg.sort_clauses else canonical_literals)
+        n = len(clauses)
+
+        def order_class(i: int) -> int:
+            """Order the cardinality class that starts at ``i``; return its end."""
+            j = bisect_right(clauses, len(clauses[i]), i, n, key=len)
+            clauses[i:j] = sorted(islice(clauses, i, j), key=elimination_order_key)
+            return j
+
+        def tail(first: int, end: int) -> Iterator[Clause]:
+            """The clauses from ``first`` on, ordered class by class until one FPC
+            survives that no clause left is a subset of: a model check in any order."""
+            yield from islice(clauses, first, end)
+            while end < n:
+                if len(tree.frontier) == 1:
+                    (fpc,) = decode_fpcs(tree.insertion_order, tree.frontier)
+                    if not any(map(fpc.issuperset, islice(clauses, end, None))):
+                        yield from islice(clauses, end, None)
+                        return
+                begin, end = end, order_class(end)
+                yield from islice(clauses, begin, end)
+
         registered = tree.literals.issuperset
+        # once every variable is registered, no clause left registers one
+        variables = len(set(map(abs, set().union(*clauses))))
         try:
-            first = 0  # each run of clauses between two registrations is one call
-            for i, c in enumerate(clauses):
-                if registered(c):
-                    continue
-                if first < i:
-                    tree.eliminate(islice(clauses, first, i))
-                if not tree.frontier:
-                    break
-                # new variables, ascending; each once, as no clause is a tautology
-                for var in sorted(map(abs, c - tree.literals)):
-                    tree.register_variable(var)
-                first = i
-            if tree.frontier and first < len(clauses):
-                tree.eliminate(islice(clauses, first, None))
+            first = end = 0  # each run of clauses between two registrations is one call
+            while tree.frontier and end < n and len(tree.insertion_order) < variables:
+                begin, end = end, order_class(end) if cfg.sort_clauses else n
+                for i, c in enumerate(islice(clauses, begin, end), begin):
+                    if registered(c):
+                        continue
+                    if first < i:
+                        tree.eliminate(islice(clauses, first, i))
+                    if not tree.frontier:
+                        break
+                    # new variables, ascending; each once, as no clause is a tautology
+                    for var in sorted(map(abs, c - tree.literals)):
+                        tree.register_variable(var)
+                    first = i
+            if tree.frontier and first < n:
+                tree.eliminate(tail(first, end))
             if not tree.frontier:
                 verdict = UNSAT
         except BudgetExceeded as exc:

@@ -3,9 +3,16 @@ from contextlib import contextmanager
 
 from hypothesis import strategies as st
 
-from fpcsat.core import Formula
+from fpcsat.core import (
+    Formula,
+    canonical_literals,
+    effective_clauses,
+    elimination_order_key,
+    normalize,
+)
 from fpcsat.instances import random_formula
-from fpcsat.tree import FpcTree
+from fpcsat.solver import RESOURCE_EXCEEDED, SAT, UNSAT
+from fpcsat.tree import BudgetExceeded, FpcTree
 
 
 def literals(max_var: int = 8):
@@ -72,3 +79,30 @@ def eliminate_hook(hook):
         yield
     finally:
         FpcTree.eliminate = original
+
+
+def reference_check_sat(f, cfg):
+    """check_sat as one frontier pass per clause: register the clause's new
+    variables, eliminate it alone, stop when the frontier closes."""
+    report = normalize(f)
+    tree = FpcTree(node_budget=cfg.node_budget, work_limit=cfg.work_budget)
+    if report.has_empty_clause:
+        return UNSAT, [], [], 0, 0, 0, 0
+    clauses = effective_clauses(f, report.tautologies)
+    clauses.sort(key=elimination_order_key if cfg.sort_clauses else canonical_literals)
+    verdict, processed = SAT, 0
+    try:
+        for c in clauses:
+            for var in sorted(abs(lit) for lit in c):
+                if var not in tree.literals:
+                    tree.register_variable(var)
+            tree.eliminate([c])
+            processed += 1
+            if not tree.frontier:
+                verdict = UNSAT
+                break
+    except BudgetExceeded:
+        verdict = RESOURCE_EXCEEDED
+    entries = tree.frontier if verdict == SAT else []
+    order = tree.insertion_order if verdict == SAT else []
+    return (verdict, order, entries, tree.peak_nodes, tree.eliminations, processed, tree.work)

@@ -297,6 +297,24 @@ def test_bench_rejects_a_reversed_range(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["--seeds-per-n", "0"], "--seeds-per-n 0 is below 1"),
+        (["--seeds-per-n", "-2"], "--seeds-per-n -2 is below 1"),
+        (["--family", "random3sat", "--n-range", "2..4"], "random 3-SAT needs at least 3 variables"),
+        (["--family", "pigeonhole", "--n-range", "0..3"], "need at least one hole"),
+    ],
+)
+def test_bench_that_fails_before_its_first_record_leaves_no_csv(tmp_path, capsys, args, message):
+    from fpcsat import cli
+
+    out = tmp_path / "bench.csv"
+    assert cli.main(["bench", "--n-range", "8..9", *args, "--out", str(out)]) == 1
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert not out.exists()
+
+
 def test_readme_synopsis_names_every_option():
     from fpcsat.cli import build_parser
 

@@ -1,14 +1,18 @@
 """The integer ordering keys sort clauses exactly as the (variable, sign)
 tuple keys they replaced, which are kept here as the reference."""
 
-from hypothesis import given
+from unittest.mock import patch
+
+from hypothesis import example, given
 from hypothesis import strategies as st
 
-from conftest import clauses, eliminate_hook, literals
+from conftest import clauses, eliminate_hook, literals, reference_check_sat
+from fpcsat import solver
 from fpcsat.core import (
     Formula,
     canonical_literals,
     clause_key,
+    effective_clauses,
     elimination_order_key,
     is_tautology,
     literal_key,
@@ -64,7 +68,15 @@ def test_clause_orders_unchanged(cs):
     assert sorted(cs, key=canonical_literals) == sorted(cs, key=reference_canonical_literals)
 
 
+def fs(*lits):
+    return frozenset(lits)
+
+
 @given(clause_lists)
+# the units pin 1..3 and leave one FPC, which no clause of size 3 is a subset
+# of: the class of size 3 is handed over as it lies
+@example([fs(-1), fs(-2), fs(-3), fs(-1, -2), fs(2, -3), fs(-1, 2, 3), fs(1, -2, 3),
+          fs(1, 2, -3), fs(-1, -2, 3), fs(-1, 2, -3), fs(1, -2, -3), fs(-1, -2, -3)])
 def test_check_sat_processes_clauses_in_reference_order(cs):
     # the empty clause decides the verdict before any ordering
     f = Formula.from_clauses([c for c in cs if c])
@@ -73,12 +85,36 @@ def test_check_sat_processes_clauses_in_reference_order(cs):
         (True, reference_elimination_order_key),
         (False, reference_canonical_literals),
     ):
-        seen = []
-        with eliminate_hook(lambda tree, c: seen.append(c)):
-            result = check_sat(f, SolveConfig(sort_clauses=sort_clauses))
+        cfg = SolveConfig(sort_clauses=sort_clauses)
+        seen, sizes = [], []
+        with eliminate_hook(lambda tree, c: (seen.append(c), sizes.append(len(tree.frontier)))):
+            result = check_sat(f, cfg)
         expected = sorted(effective, key=key)
-        if result.verdict == "SAT":
-            assert seen == expected
-        else:  # a closing run may have taken clauses past the one that closed it
-            assert len(seen) >= result.stats.clauses_processed
+        s = result.stats
+        verdict, order, entries, peak, eliminations, processed, work = reference_check_sat(f, cfg)
+        assert (result.verdict, list(result.order), list(result.entries)) == (
+            verdict, order, entries[:1]
+        )
+        assert (s.peak_nodes, s.eliminations, s.clauses_processed) == (peak, eliminations, processed)
+        assert s.work <= work  # below it where a pass shares clauses
+        # handed every clause in the full order, check_sat scans as much
+        presorted = lambda f, tautologies: sorted(effective_clauses(f, tautologies), key=key)
+        with patch.object(solver, "effective_clauses", presorted):
+            full = check_sat(f, cfg)
+        assert full[:3] == result[:3]
+        assert full.stats._replace(elapsed_time=0) == s._replace(elapsed_time=0)
+        if result.verdict != "SAT":  # a closing run may have taken clauses past the one that closed it
+            assert len(seen) >= s.clauses_processed
             assert seen == expected[: len(seen)]
+            continue
+        # the cardinality order may hand over the rest as it lies at a class
+        # boundary where one FPC survives; the lex order is one class
+        switch = next(
+            (
+                i for i in range(1, len(seen))
+                if sort_clauses and sizes[i] == 1 and len(expected[i - 1]) < len(expected[i])
+            ),
+            len(seen),
+        )
+        assert seen[:switch] == expected[:switch]
+        assert len(seen) == len(expected) and set(seen[switch:]) == set(expected[switch:])

@@ -1,19 +1,13 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import corpus
-from fpcsat.core import (
-    Formula,
-    canonical_literals,
-    effective_clauses,
-    elimination_order_key,
-    evaluate_formula,
-    normalize,
-    variables_of,
-)
+from conftest import corpus, reference_check_sat
+from fpcsat import solver
+from fpcsat.core import Formula, evaluate_formula, variables_of
 from fpcsat.instances import complete_minus_one, pigeonhole
 from fpcsat.oracle import brute_force_sat, condition_check, enumerate_fpcs
 from fpcsat.solver import (
@@ -24,7 +18,6 @@ from fpcsat.solver import (
     check_sat,
     model_from_fpc,
 )
-from fpcsat.tree import BudgetExceeded, FpcTree
 
 
 def fs(*lits):
@@ -121,8 +114,6 @@ def test_all_models_cover_every_satisfying_assignment():
 
 
 def test_tautologies_never_affect_verdict():
-    import random
-
     rng = random.Random(53)
     for f in corpus(seed=53, count=200, n_max=8):
         base = check_sat(f, SolveConfig(report_all_models=True))
@@ -234,31 +225,26 @@ def test_first_model_is_leftmost_dfs():
         assert result.absent_fpcs == all_models.absent_fpcs[:1]
 
 
-def reference_check_sat(f, cfg):
-    """check_sat as one frontier pass per clause: register the clause's new
-    variables, eliminate it alone, stop when the frontier closes."""
-    report = normalize(f)
-    tree = FpcTree(node_budget=cfg.node_budget, work_limit=cfg.work_budget)
-    if report.has_empty_clause:
-        return UNSAT, [], [], 0, 0, 0, 0
-    clauses = effective_clauses(f, report.tautologies)
-    clauses.sort(key=elimination_order_key if cfg.sort_clauses else canonical_literals)
-    verdict, processed = SAT, 0
-    try:
-        for c in clauses:
-            for var in sorted(abs(lit) for lit in c):
-                if var not in tree.literals:
-                    tree.register_variable(var)
-            tree.eliminate([c])
-            processed += 1
-            if not tree.frontier:
-                verdict = UNSAT
-                break
-    except BudgetExceeded:
-        verdict = RESOURCE_EXCEEDED
-    entries = tree.frontier if verdict == SAT else []
-    order = tree.insertion_order if verdict == SAT else []
-    return (verdict, order, entries, tree.peak_nodes, tree.eliminations, processed, tree.work)
+def closing_in_each_class(n):
+    """complete_minus_one(n) plus one clause <= {1..n}, a subset of its one
+    surviving FPC, of each cardinality: each closes in its extra clause's class."""
+    f = complete_minus_one(n)
+    for size in range(1, n + 1):
+        yield Formula(f.clauses | {frozenset(range(n - size + 1, n + 1))}, len(f.clauses) + 1)
+
+
+def unit_pinned(seed, count):
+    """Formulas whose unit clauses pin every variable, followed by longer
+    clauses: one FPC survives the first class."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(2, 9)
+        units = [[-v if rng.random() < 0.5 else v] for v in range(1, n + 1)]
+        longer = [
+            [-v if rng.random() < 0.5 else v for v in rng.sample(range(1, n + 1), rng.randint(2, n))]
+            for _ in range(rng.randint(1, 6 * n))
+        ]
+        yield Formula.from_clauses(units + longer)
 
 
 @pytest.mark.parametrize(
@@ -269,14 +255,19 @@ def reference_check_sat(f, cfg):
         SolveConfig(node_budget=64),
         SolveConfig(node_budget=8),
         SolveConfig(work_budget=50),
+        # trip inside the unordered tail: 300 on complete_minus_one(6..8), 3000 on (8)
+        SolveConfig(work_budget=300),
+        SolveConfig(work_budget=3000),
     ],
-    ids=["sorted", "unsorted", "budget64", "budget8", "work50"],
+    ids=["sorted", "unsorted", "budget64", "budget8", "work50", "work300", "work3000"],
 )
 def test_runs_between_registrations_match_one_pass_per_clause(cfg):
     cfg = cfg._replace(report_all_models=True)
     formulas = [pigeonhole(k) for k in range(2, 6)]
     # a frontier of at most two entries: all but a few clauses meet one entry
-    formulas += [complete_minus_one(n) for n in range(1, 6)]
+    formulas += [complete_minus_one(n) for n in range(1, 9)]
+    formulas += [f for n in range(1, 9) for f in closing_in_each_class(n)]
+    formulas += unit_pinned(seed=15, count=60)
     formulas += corpus(seed=12, count=150, n_max=10, m_factor=4)
     unbudgeted = cfg._replace(work_budget=None)
     for f in formulas:
@@ -292,3 +283,20 @@ def test_runs_between_registrations_match_one_pass_per_clause(cfg):
         assert (result.verdict, list(result.order), list(result.entries)) == (verdict, order, entries)
         assert (s.peak_nodes, s.eliminations, s.clauses_processed) == (peak, eliminations, processed)
         assert s.work < work if shared else s.work == work
+
+
+def test_clauses_past_the_last_needed_class_are_never_ordered(monkeypatch):
+    # complete_minus_one(8): its 8 unit clauses register every variable and
+    # leave one FPC, which no later clause is a subset of; only the units and
+    # the class after them, where that last pass is still pending, are ordered
+    f = complete_minus_one(8)
+    keyed = []
+    key = solver.elimination_order_key
+    monkeypatch.setattr(solver, "elimination_order_key", lambda c: keyed.append(c) or key(c))
+    result = check_sat(f, SolveConfig(report_all_models=True))
+    assert 0 < len(keyed) < len(f.clauses) / 10
+    s = result.stats
+    reference = reference_check_sat(f, SolveConfig(report_all_models=True))
+    assert (result.verdict, list(result.order), list(result.entries)) == reference[:3]
+    assert (s.peak_nodes, s.eliminations, s.clauses_processed, s.work) == reference[3:]
+    assert 0 <= s.elapsed_time < 60
