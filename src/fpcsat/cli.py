@@ -11,6 +11,7 @@ import argparse
 import os
 import sys
 import time
+from math import inf
 
 from .core import EMPTY_CLAUSE, Formula
 from .core import normalize  # noqa: F401  (perfbench/tracer.py wraps cli.normalize)
@@ -162,6 +163,10 @@ def _cmd_bench(args) -> int:
     n_values = _parse_range(args.n_range)
     if args.seeds_per_n < 1:
         raise ValueError(f"--seeds-per-n {args.seeds_per_n} is below 1")
+    if not 0 < args.timeout_ms < inf:
+        raise ValueError(f"--timeout-ms {args.timeout_ms:g} is not a finite number above 0")
+    if not 0 <= args.ratio < inf:
+        raise ValueError(f"--ratio {args.ratio:g} is not a finite number of at least 0")
     started = time.perf_counter()
     fh = None  # made with the first record, so that a run failing before it leaves no CSV
 

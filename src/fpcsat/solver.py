@@ -98,15 +98,16 @@ def check_sat(f: Formula, cfg: SolveConfig = SolveConfig()) -> SolveResult:
             clauses[i:j] = sorted(islice(clauses, i, j), key=elimination_order_key)
             return j
 
-        def tail(first: int, end: int) -> Iterator[Clause]:
-            """The clauses from ``first`` on, ordered class by class until one FPC
-            survives that no clause left is a subset of: a model check in any order."""
+        def tail(first: int) -> Iterator[Clause]:
+            """The clauses from ``first`` on, ordered class by class, up to the class
+            boundary ``end`` where one FPC survives that no clause left is a subset
+            of: by the sibling-clause result, the rest drops nothing."""
+            nonlocal end
             yield from islice(clauses, first, end)
             while end < n:
                 if len(tree.frontier) == 1:
                     (fpc,) = decode_fpcs(tree.insertion_order, tree.frontier)
                     if not any(map(fpc.issuperset, islice(clauses, end, None))):
-                        yield from islice(clauses, end, None)
                         return
                 begin, end = end, order_class(end)
                 yield from islice(clauses, begin, end)
@@ -130,7 +131,9 @@ def check_sat(f: Formula, cfg: SolveConfig = SolveConfig()) -> SolveResult:
                         tree.register_variable(var)
                     first = i
             if tree.frontier and first < n:
-                tree.eliminate(tail(first, end))
+                tree.eliminate(tail(first))
+                if tree.frontier:
+                    tree.charge(n - end)
             if not tree.frontier:
                 verdict = UNSAT
         except BudgetExceeded as exc:

@@ -20,23 +20,18 @@ depth-first order, negative branch first.
 ``eliminate`` takes a run of clauses over registered variables, as
 ``check_sat`` hands it the clauses between two registrations (under the
 max-variable tie-break, the clauses whose last variable just registered: a
-"bucket" of bucket elimination).  ``check_sat`` tests registration once per
-clause, to find where a run ends, and the tree relies on that test.  A pass
-applies one clause or several with one filter: their forbidden sign patterns
-over the union ``u`` of their variables key a table ``F``, and the pass
-keeps each ``m`` with ``m & u not in F``.  ``F`` maps each pattern to the
-first clause that forbids it, so a pass that closes the frontier reads the
-closing clause off the table, with no replay.  The frontier after the run is
-the one clause-by-clause passes leave; only ``work``, the count of entries
-scanned, is smaller.
+"bucket" of bucket elimination).  A pass applies one clause or several
+with one filter: their forbidden sign patterns over the union ``u`` of
+their variables key a table ``F``, and the pass keeps each ``m`` with
+``m & u not in F``.  ``F`` maps each pattern to the first clause that
+forbids it, so a pass that closes the frontier reads the closing clause off
+the table, with no replay.  The frontier after the run is the one
+clause-by-clause passes leave; only ``work``, the count of entries scanned,
+is smaller.
 
 Once one entry survives, the paper's sibling-clause result makes the rest
-of the run a plain model check: the formula stays satisfiable while no
-clause is a subset of that FPC.  ``eliminate`` decodes the entry once and
-tests each clause as ``c <= fpc``.  No pass of two clauses fits one entry
-(each has at least two sign patterns), so each clause is charged the one
-entry, as in a pass of its own: ``work``, ``applied`` and every budget trip
-are unchanged.
+of the solve a model check, which ``check_sat`` runs; ``charge`` books the
+clauses it finds to drop nothing as one-clause passes over that entry.
 
 The entries are also the models: ``check_sat`` hands them and
 ``insertion_order`` on as they are, and ``dimacs.write_result`` prints them.
@@ -46,7 +41,7 @@ such as the oracle's, into them.
 
 from __future__ import annotations
 
-from itertools import chain, repeat
+from itertools import repeat
 from math import inf
 from typing import Iterable
 
@@ -145,7 +140,7 @@ class FpcTree:
         """Apply ``clauses`` in order, each dropping every surviving FPC it is
         a subset of, and stop at the clause that closes the frontier.  Every
         variable of ``clauses`` must be registered (``check_sat`` makes sure);
-        only a pass over two or more entries checks it.
+        an open frontier raises ``UnregisteredVariableError`` otherwise.
 
         Consecutive clauses share one pass while their forbidden sign
         patterns over the union of their variables number no more than the
@@ -156,19 +151,11 @@ class FpcTree:
         by clause.  A tautology clause is a subset of no FPC: it is applied
         and drops nothing.  The empty clause is a subset of every FPC and
         closes the frontier.  A closed frontier applies nothing.
-
-        On a one-entry frontier, at the start of the run or after any pass
-        of it, the rest of the run is a model check (``_check``), one entry
-        scanned per clause as in a one-clause pass; a tautology is tested
-        against the entry too and costs that one entry.
         """
         cap = len(self.frontier)
-        if cap <= 1:
-            if cap:
-                self._check(clauses)
+        if not cap:
             return
         bits = dict(sign_bits(self.insertion_order))
-        clauses = iter(clauses)  # one iterator, so that ``_check`` can take over mid-run
         applied = self.applied
         # the pending pass: its clauses' masks, each with the ``applied``
         # count it ends at, and their sign patterns over ``union``, counted
@@ -200,32 +187,21 @@ class FpcTree:
                     if self._pass(union, pending, applied - 1):
                         return
                     cap = len(self.frontier)
-                    if cap == 1:
-                        self._check(chain((c,), clauses))
-                        return
                 union, size, pending = varmask, 1, [(applied, varmask, posmask)]
         if pending and self._pass(union, pending, applied):
             return
         self.applied = applied
 
-    def _check(self, clauses: Iterable[Clause]) -> None:
-        """Apply ``clauses`` to a one-entry frontier as a model check: each
-        drops the entry exactly when it is a subset of the FPC the entry
-        spells, and is charged the one entry it is tested against."""
-        (fpc,) = decode_fpcs(self.insertion_order, self.frontier)
-        work, applied, limit = self.work, self.applied, self.work_limit
-        try:
-            for c in clauses:
-                if work >= limit:
-                    raise BudgetExceeded("work")
-                work += 1
-                applied += 1
-                if c <= fpc:
-                    self.frontier = []
-                    self.eliminations += 1
-                    return
-        finally:
-            self.work, self.applied = work, applied
+    def charge(self, count: int) -> None:
+        """Apply ``count`` clauses known to drop nothing from a one-entry
+        frontier, each charged the one entry, as in a pass of its own.  The
+        work budget trips at the clause that would cross it, with ``work``
+        and ``applied`` at the clause before."""
+        fit = int(min(count, self.work_limit - self.work))
+        self.work += fit
+        self.applied += fit
+        if fit < count:
+            raise BudgetExceeded("work")
 
     def _pass(self, union: int, pending: list[tuple[int, int, int]], applied: int) -> bool:
         """Apply the ``pending`` clauses, whose variables make up ``union``,

@@ -10,7 +10,7 @@ from fpcsat.core import (
     elimination_order_key,
     normalize,
 )
-from fpcsat.instances import random_formula
+from fpcsat.instances import complete_minus_one, random_formula
 from fpcsat.solver import RESOURCE_EXCEEDED, SAT, UNSAT
 from fpcsat.tree import BudgetExceeded, FpcTree
 
@@ -106,3 +106,25 @@ def reference_check_sat(f, cfg):
     entries = tree.frontier if verdict == SAT else []
     order = tree.insertion_order if verdict == SAT else []
     return (verdict, order, entries, tree.peak_nodes, tree.eliminations, processed, tree.work)
+
+
+def closing_in_each_class(n):
+    """complete_minus_one(n) plus one clause <= {1..n}, a subset of its one
+    surviving FPC, of each cardinality: each closes in its extra clause's class."""
+    f = complete_minus_one(n)
+    for size in range(1, n + 1):
+        yield Formula(f.clauses | {frozenset(range(n - size + 1, n + 1))}, len(f.clauses) + 1)
+
+
+def unit_pinned(seed, count):
+    """Formulas whose unit clauses pin every variable, followed by longer
+    clauses: one FPC survives the first class."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(2, 9)
+        units = [[-v if rng.random() < 0.5 else v] for v in range(1, n + 1)]
+        longer = [
+            [-v if rng.random() < 0.5 else v for v in rng.sample(range(1, n + 1), rng.randint(2, n))]
+            for _ in range(rng.randint(1, 6 * n))
+        ]
+        yield Formula.from_clauses(units + longer)

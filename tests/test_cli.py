@@ -304,6 +304,13 @@ def test_bench_rejects_a_reversed_range(tmp_path, capsys):
         (["--seeds-per-n", "-2"], "--seeds-per-n -2 is below 1"),
         (["--family", "random3sat", "--n-range", "2..4"], "random 3-SAT needs at least 3 variables"),
         (["--family", "pigeonhole", "--n-range", "0..3"], "need at least one hole"),
+        (["--timeout-ms", "inf"], "--timeout-ms inf is not a finite number above 0"),
+        (["--timeout-ms", "nan"], "--timeout-ms nan is not a finite number above 0"),
+        (["--timeout-ms", "-5"], "--timeout-ms -5 is not a finite number above 0"),
+        (["--timeout-ms", "0"], "--timeout-ms 0 is not a finite number above 0"),
+        (["--ratio", "inf"], "--ratio inf is not a finite number of at least 0"),
+        (["--ratio", "nan"], "--ratio nan is not a finite number of at least 0"),
+        (["--ratio", "-1"], "--ratio -1 is not a finite number of at least 0"),
     ],
 )
 def test_bench_that_fails_before_its_first_record_leaves_no_csv(tmp_path, capsys, args, message):

@@ -74,7 +74,7 @@ def fs(*lits):
 
 @given(clause_lists)
 # the units pin 1..3 and leave one FPC, which no clause of size 3 is a subset
-# of: the class of size 3 is handed over as it lies
+# of: the class of size 3 is never handed over
 @example([fs(-1), fs(-2), fs(-3), fs(-1, -2), fs(2, -3), fs(-1, 2, 3), fs(1, -2, 3),
           fs(1, 2, -3), fs(-1, -2, 3), fs(-1, 2, -3), fs(1, -2, -3), fs(-1, -2, -3)])
 def test_check_sat_processes_clauses_in_reference_order(cs):
@@ -86,8 +86,8 @@ def test_check_sat_processes_clauses_in_reference_order(cs):
         (False, reference_canonical_literals),
     ):
         cfg = SolveConfig(sort_clauses=sort_clauses)
-        seen, sizes = [], []
-        with eliminate_hook(lambda tree, c: (seen.append(c), sizes.append(len(tree.frontier)))):
+        seen = []
+        with eliminate_hook(lambda tree, c: seen.append(c)):
             result = check_sat(f, cfg)
         expected = sorted(effective, key=key)
         s = result.stats
@@ -103,18 +103,9 @@ def test_check_sat_processes_clauses_in_reference_order(cs):
             full = check_sat(f, cfg)
         assert full[:3] == result[:3]
         assert full.stats._replace(elapsed_time=0) == s._replace(elapsed_time=0)
-        if result.verdict != "SAT":  # a closing run may have taken clauses past the one that closed it
+        # a SAT solve may stop handing clauses over at a class boundary where
+        # one FPC survives that no clause left is a subset of, and a closing
+        # run may have taken clauses past the one that closed it
+        assert seen == expected[: len(seen)]
+        if result.verdict != "SAT":
             assert len(seen) >= s.clauses_processed
-            assert seen == expected[: len(seen)]
-            continue
-        # the cardinality order may hand over the rest as it lies at a class
-        # boundary where one FPC survives; the lex order is one class
-        switch = next(
-            (
-                i for i in range(1, len(seen))
-                if sort_clauses and sizes[i] == 1 and len(expected[i - 1]) < len(expected[i])
-            ),
-            len(seen),
-        )
-        assert seen[:switch] == expected[:switch]
-        assert len(seen) == len(expected) and set(seen[switch:]) == set(expected[switch:])

@@ -1,11 +1,16 @@
-import itertools
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import corpus, reference_check_sat
+from conftest import (
+    closing_in_each_class,
+    corpus,
+    eliminate_hook,
+    reference_check_sat,
+    unit_pinned,
+)
 from fpcsat import solver
 from fpcsat.core import Formula, evaluate_formula, variables_of
 from fpcsat.instances import complete_minus_one, pigeonhole
@@ -18,6 +23,7 @@ from fpcsat.solver import (
     check_sat,
     model_from_fpc,
 )
+from fpcsat.tree import BudgetExceeded, FpcTree
 
 
 def fs(*lits):
@@ -225,28 +231,6 @@ def test_first_model_is_leftmost_dfs():
         assert result.absent_fpcs == all_models.absent_fpcs[:1]
 
 
-def closing_in_each_class(n):
-    """complete_minus_one(n) plus one clause <= {1..n}, a subset of its one
-    surviving FPC, of each cardinality: each closes in its extra clause's class."""
-    f = complete_minus_one(n)
-    for size in range(1, n + 1):
-        yield Formula(f.clauses | {frozenset(range(n - size + 1, n + 1))}, len(f.clauses) + 1)
-
-
-def unit_pinned(seed, count):
-    """Formulas whose unit clauses pin every variable, followed by longer
-    clauses: one FPC survives the first class."""
-    rng = random.Random(seed)
-    for _ in range(count):
-        n = rng.randint(2, 9)
-        units = [[-v if rng.random() < 0.5 else v] for v in range(1, n + 1)]
-        longer = [
-            [-v if rng.random() < 0.5 else v for v in rng.sample(range(1, n + 1), rng.randint(2, n))]
-            for _ in range(rng.randint(1, 6 * n))
-        ]
-        yield Formula.from_clauses(units + longer)
-
-
 @pytest.mark.parametrize(
     "cfg",
     [
@@ -255,14 +239,25 @@ def unit_pinned(seed, count):
         SolveConfig(node_budget=64),
         SolveConfig(node_budget=8),
         SolveConfig(work_budget=50),
-        # trip inside the unordered tail: 300 on complete_minus_one(6..8), 3000 on (8)
+        # trip inside the tail that check_sat charges without handing it to
+        # eliminate: 300 on complete_minus_one(6..8), 3000 on (8)
         SolveConfig(work_budget=300),
         SolveConfig(work_budget=3000),
     ],
     ids=["sorted", "unsorted", "budget64", "budget8", "work50", "work300", "work3000"],
 )
-def test_runs_between_registrations_match_one_pass_per_clause(cfg):
+def test_runs_between_registrations_match_one_pass_per_clause(cfg, monkeypatch):
     cfg = cfg._replace(report_all_models=True)
+    charge, tail_trips = FpcTree.charge, []
+
+    def counted(tree, count):
+        try:
+            charge(tree, count)
+        except BudgetExceeded:
+            tail_trips.append(count)
+            raise
+
+    monkeypatch.setattr(FpcTree, "charge", counted)
     formulas = [pigeonhole(k) for k in range(2, 6)]
     # a frontier of at most two entries: all but a few clauses meet one entry
     formulas += [complete_minus_one(n) for n in range(1, 9)]
@@ -283,18 +278,23 @@ def test_runs_between_registrations_match_one_pass_per_clause(cfg):
         assert (result.verdict, list(result.order), list(result.entries)) == (verdict, order, entries)
         assert (s.peak_nodes, s.eliminations, s.clauses_processed) == (peak, eliminations, processed)
         assert s.work < work if shared else s.work == work
+    if cfg.work_budget in (300, 3000):
+        assert tail_trips
 
 
 def test_clauses_past_the_last_needed_class_are_never_ordered(monkeypatch):
     # complete_minus_one(8): its 8 unit clauses register every variable and
     # leave one FPC, which no later clause is a subset of; only the units and
     # the class after them, where that last pass is still pending, are ordered
+    # or handed to eliminate, and the rest is charged without either
     f = complete_minus_one(8)
-    keyed = []
+    keyed, taken = [], []
     key = solver.elimination_order_key
     monkeypatch.setattr(solver, "elimination_order_key", lambda c: keyed.append(c) or key(c))
-    result = check_sat(f, SolveConfig(report_all_models=True))
+    with eliminate_hook(lambda tree, c: taken.append(c)):
+        result = check_sat(f, SolveConfig(report_all_models=True))
     assert 0 < len(keyed) < len(f.clauses) / 10
+    assert 0 < len(taken) < len(f.clauses) / 10
     s = result.stats
     reference = reference_check_sat(f, SolveConfig(report_all_models=True))
     assert (result.verdict, list(result.order), list(result.entries)) == reference[:3]

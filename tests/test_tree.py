@@ -1,4 +1,6 @@
+import math
 import random
+from contextlib import nullcontext
 
 import pytest
 from hypothesis import given, settings
@@ -302,12 +304,12 @@ def one_entry():
     return t
 
 
-def test_one_entry_left_mid_run_finishes_as_a_model_check():
+def test_one_entry_left_mid_run_takes_one_clause_passes():
     t = FpcTree()
     t.register_variable(1)
     t.register_variable(2)
     # {-1} and {-2} fill one pass (4 patterns over x1, x2, 4 entries), which
-    # leaves one entry; each clause after it is tested against that entry
+    # leaves one entry; each clause after it takes a pass of its own
     t.eliminate([fs(-1), fs(-2), fs(-1, 2), fs(1, -2), fs(1, 2), fs(-2)])
     assert (t.frontier, t.applied, t.work, t.eliminations) == ([], 5, 1 + 2 + 4 + 3, 4)
 
@@ -325,9 +327,23 @@ def test_one_entry_work_limit_trips_at_the_clause():
     assert (t.frontier, t.applied, t.work) == ([0b11], 4, 9)
 
 
+@pytest.mark.parametrize(
+    "limit, applied, work", [(None, 7, 12), (7, 2, 7), (9, 4, 9), (11, 6, 11), (12, 7, 12)]
+)
+def test_charge_books_one_clause_passes_that_drop_nothing(limit, applied, work):
+    # none of these is a subset of the one surviving FPC, {1, 2}; a work
+    # limit below 12 trips at the clause that would cross it
+    run = [fs(-1), fs(-2), fs(-1, 2), fs(1, -2), fs(-1, -2)]
+    charged, passed = one_entry(), one_entry()
+    for t, apply in ((charged, lambda: charged.charge(len(run))), (passed, lambda: passed.eliminate(run))):
+        t.work_limit = math.inf if limit is None else limit
+        with pytest.raises(BudgetExceeded, match="work") if work < 12 else nullcontext():
+            apply()
+        assert (t.frontier, t.applied, t.work, t.eliminations) == ([0b11], applied, work, 3)
+
+
 def test_check_sat_hands_eliminate_only_registered_clauses():
-    # eliminate's precondition, which the one-entry model check relies on
-    # without testing it
+    # eliminate's precondition
     formulas = [
         *corpus(seed=12, count=150, n_max=9, m_factor=3),
         *(pigeonhole(k) for k in range(2, 6)),
@@ -348,15 +364,14 @@ def test_check_sat_hands_eliminate_only_registered_clauses():
 
 def test_one_entry_tautology_and_empty_clause():
     t = one_entry()
-    # a tautology is a subset of no FPC; it is tested against the entry
-    # like any clause, so it costs one entry scanned
+    # a tautology is a subset of no FPC: applied, it takes no pass
     t.eliminate([fs(1, -1)])
-    assert (t.frontier, t.applied, t.work, t.eliminations) == ([0b11], 3, 8, 3)
+    assert (t.frontier, t.applied, t.work, t.eliminations) == ([0b11], 3, 7, 3)
     # the empty clause is a subset of every FPC
     t.eliminate([frozenset(), fs(1)])
-    assert (t.frontier, t.applied, t.work, t.eliminations) == ([], 4, 9, 4)
+    assert (t.frontier, t.applied, t.work, t.eliminations) == ([], 4, 8, 4)
     t.eliminate([fs(1, 2)])  # a closed frontier applies nothing
-    assert (t.applied, t.work) == (4, 9)
+    assert (t.applied, t.work) == (4, 8)
     # before any variable registers, the one entry spells the empty FPC
     t = FpcTree()
     t.eliminate([frozenset()])
