@@ -163,6 +163,8 @@ def _cmd_bench(args) -> int:
     n_values = _parse_range(args.n_range)
     if args.seeds_per_n < 1:
         raise ValueError(f"--seeds-per-n {args.seeds_per_n} is below 1")
+    if args.workers < 1:
+        raise ValueError(f"--workers {args.workers} is below 1")
     if not 0 < args.timeout_ms < inf:
         raise ValueError(f"--timeout-ms {args.timeout_ms:g} is not a finite number above 0")
     if not 0 <= args.ratio < inf:

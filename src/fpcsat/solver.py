@@ -91,50 +91,32 @@ def check_sat(f: Formula, cfg: SolveConfig = SolveConfig()) -> SolveResult:
         # solve reaches it; or a deterministic cardinality-blind one, one class
         clauses.sort(key=len if cfg.sort_clauses else canonical_literals)
         n = len(clauses)
-
-        def order_class(i: int) -> int:
-            """Order the cardinality class that starts at ``i``; return its end."""
-            j = bisect_right(clauses, len(clauses[i]), i, n, key=len)
-            clauses[i:j] = sorted(islice(clauses, i, j), key=elimination_order_key)
-            return j
-
-        def tail(first: int) -> Iterator[Clause]:
-            """The clauses from ``first`` on, ordered class by class, up to the class
-            boundary ``end`` where one FPC survives that no clause left is a subset
-            of: by the sibling-clause result, the rest drops nothing."""
-            nonlocal end
-            yield from islice(clauses, first, end)
-            while end < n:
-                if len(tree.frontier) == 1:
-                    (fpc,) = decode_fpcs(tree.insertion_order, tree.frontier)
-                    if not any(map(fpc.issuperset, islice(clauses, end, None))):
-                        return
-                begin, end = end, order_class(end)
-                yield from islice(clauses, begin, end)
-
-        registered = tree.literals.issuperset
         # once every variable is registered, no clause left registers one
         variables = len(set(map(abs, set().union(*clauses))))
+
+        def ordered() -> Iterator[Clause]:
+            """The clauses class by class, each class ordered as the solve reaches
+            it, up to the first class boundary where every variable is registered
+            and one FPC survives that no clause left is a subset of: by the
+            sibling-clause result, the rest drops nothing."""
+            begin = 0
+            while begin < n:
+                if len(tree.insertion_order) == variables and len(tree.frontier) == 1:
+                    (fpc,) = decode_fpcs(tree.insertion_order, tree.frontier)
+                    if not any(map(fpc.issuperset, islice(clauses, begin, None))):
+                        return
+                end = n
+                if cfg.sort_clauses:
+                    end = bisect_right(clauses, len(clauses[begin]), begin, n, key=len)
+                    clauses[begin:end] = sorted(clauses[begin:end], key=elimination_order_key)
+                yield from islice(clauses, begin, end)
+                begin = end
+
         try:
-            first = end = 0  # each run of clauses between two registrations is one call
-            while tree.frontier and end < n and len(tree.insertion_order) < variables:
-                begin, end = end, order_class(end) if cfg.sort_clauses else n
-                for i, c in enumerate(islice(clauses, begin, end), begin):
-                    if registered(c):
-                        continue
-                    if first < i:
-                        tree.eliminate(islice(clauses, first, i))
-                    if not tree.frontier:
-                        break
-                    # new variables, ascending; each once, as no clause is a tautology
-                    for var in sorted(map(abs, c - tree.literals)):
-                        tree.register_variable(var)
-                    first = i
-            if tree.frontier and first < n:
-                tree.eliminate(tail(first))
-                if tree.frontier:
-                    tree.charge(n - end)
-            if not tree.frontier:
+            tree.eliminate(ordered())
+            if tree.frontier:
+                tree.charge(n - tree.applied)
+            else:
                 verdict = UNSAT
         except BudgetExceeded as exc:
             verdict, exceeded = RESOURCE_EXCEEDED, exc.kind

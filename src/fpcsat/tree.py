@@ -17,15 +17,15 @@ the clause's bits and ``posmask`` its positive ones, every ``m`` with
 ``m & varmask == posmask``.  Plain ascending int order is the tree's
 depth-first order, negative branch first.
 
-``eliminate`` takes a run of clauses over registered variables, as
-``check_sat`` hands it the clauses between two registrations (under the
-max-variable tie-break, the clauses whose last variable just registered: a
-"bucket" of bucket elimination).  A pass applies one clause or several
-with one filter: their forbidden sign patterns over the union ``u`` of
-their variables key a table ``F``, and the pass keeps each ``m`` with
+``eliminate`` registers each variable as the first clause over it arrives,
+so the clauses between two registrations (under the max-variable
+tie-break, those whose last variable just registered: a "bucket" of bucket
+elimination) share passes.  A pass applies one clause or several with one
+filter: their forbidden sign patterns over the union ``u`` of their
+variables key a table ``F``, and the pass keeps each ``m`` with
 ``m & u not in F``.  ``F`` maps each pattern to the first clause that
 forbids it, so a pass that closes the frontier reads the closing clause off
-the table, with no replay.  The frontier after the run is the one
+the table, with no replay.  The frontier at each registration is the one
 clause-by-clause passes leave; only ``work``, the count of entries scanned,
 is smaller.
 
@@ -56,10 +56,6 @@ class BudgetExceeded(Exception):
     def __init__(self, kind: str):
         super().__init__(kind)
         self.kind = kind
-
-
-class UnregisteredVariableError(KeyError):
-    pass
 
 
 class DuplicateVariableError(ValueError):
@@ -138,9 +134,9 @@ class FpcTree:
 
     def eliminate(self, clauses: Iterable[Clause]) -> None:
         """Apply ``clauses`` in order, each dropping every surviving FPC it is
-        a subset of, and stop at the clause that closes the frontier.  Every
-        variable of ``clauses`` must be registered (``check_sat`` makes sure);
-        an open frontier raises ``UnregisteredVariableError`` otherwise.
+        a subset of, and stop at the clause that closes the frontier.  A
+        clause over new variables ends the pending pass, then registers them
+        in ascending order; a budget tripped there leaves the clause unapplied.
 
         Consecutive clauses share one pass while their forbidden sign
         patterns over the union of their variables number no more than the
@@ -148,9 +144,10 @@ class FpcTree:
         patterns costs no more than the pass they save.  Every pass is one
         filter (``_pass``), which also names the closing clause.  The
         frontier, ``eliminations`` and ``applied`` end as they would clause
-        by clause.  A tautology clause is a subset of no FPC: it is applied
-        and drops nothing.  The empty clause is a subset of every FPC and
-        closes the frontier.  A closed frontier applies nothing.
+        by clause.  A tautology clause is a subset of no FPC: it registers
+        its new variables and drops nothing.  The empty clause is a subset
+        of every FPC and closes the frontier.  A closed frontier applies
+        nothing.
         """
         cap = len(self.frontier)
         if not cap:
@@ -162,12 +159,18 @@ class FpcTree:
         # before overlaps merge
         union, size, pending = 0, 0, []
         for c in clauses:
+            if not self.literals.issuperset(c):
+                if pending and self._pass(union, pending, applied):
+                    return
+                self.applied, pending = applied, []
+                for var in sorted({abs(lit) for lit in c - self.literals}):
+                    self.register_variable(var)
+                bits = dict(sign_bits(self.insertion_order))
+                cap = len(self.frontier)
             applied += 1
             varmask = posmask = 0
             for lit in c:
-                bit = bits.get(abs(lit))
-                if bit is None:
-                    raise UnregisteredVariableError(f"variable {abs(lit)} not registered")
+                bit = bits[abs(lit)]
                 if varmask & bit:
                     break  # tautology clause: no FPC holds both polarities
                 varmask |= bit

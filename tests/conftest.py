@@ -62,8 +62,9 @@ def corpus(seed: int, count: int, n_max: int = 12, m_factor: int = 4,
 @contextmanager
 def eliminate_hook(hook):
     """Within the block, call ``hook(tree, c)`` on each clause as
-    ``FpcTree.eliminate`` takes it from its run, in order.  A run that closes
-    the frontier may have taken clauses past the one that closed it."""
+    ``FpcTree.eliminate`` takes it, in order, before the clause registers any
+    variable.  A solve that closes the frontier may have taken clauses past
+    the one that closed it."""
     original = FpcTree.eliminate
 
     def eliminate(tree, clauses):
@@ -106,6 +107,29 @@ def reference_check_sat(f, cfg):
     entries = tree.frontier if verdict == SAT else []
     order = tree.insertion_order if verdict == SAT else []
     return (verdict, order, entries, tree.peak_nodes, tree.eliminations, processed, tree.work)
+
+
+def dpll_satisfiable(f):
+    """Satisfiability by a plain DPLL search with unit propagation: a
+    reference verdict well past the truth-table oracle's 20 variables."""
+
+    def assign(clauses, lit):
+        return [c - {-lit} for c in clauses if lit not in c]
+
+    def search(clauses):
+        while True:
+            if not clauses:
+                return True
+            if frozenset() in clauses:
+                return False
+            unit = next((c for c in clauses if len(c) == 1), None)
+            if unit is None:
+                break
+            clauses = assign(clauses, next(iter(unit)))
+        lit = max(min(clauses, key=len), key=abs)
+        return search(assign(clauses, lit)) or search(assign(clauses, -lit))
+
+    return search(list(f.clauses))
 
 
 def closing_in_each_class(n):

@@ -311,6 +311,8 @@ def test_bench_rejects_a_reversed_range(tmp_path, capsys):
         (["--ratio", "inf"], "--ratio inf is not a finite number of at least 0"),
         (["--ratio", "nan"], "--ratio nan is not a finite number of at least 0"),
         (["--ratio", "-1"], "--ratio -1 is not a finite number of at least 0"),
+        (["--workers", "0"], "--workers 0 is below 1"),
+        (["--workers", "-2"], "--workers -2 is below 1"),
     ],
 )
 def test_bench_that_fails_before_its_first_record_leaves_no_csv(tmp_path, capsys, args, message):

@@ -7,13 +7,14 @@ from hypothesis import strategies as st
 from conftest import (
     closing_in_each_class,
     corpus,
+    dpll_satisfiable,
     eliminate_hook,
     reference_check_sat,
     unit_pinned,
 )
 from fpcsat import solver
 from fpcsat.core import Formula, evaluate_formula, variables_of
-from fpcsat.instances import complete_minus_one, pigeonhole
+from fpcsat.instances import complete_minus_one, pigeonhole, random_3sat
 from fpcsat.oracle import brute_force_sat, condition_check, enumerate_fpcs
 from fpcsat.solver import (
     RESOURCE_EXCEEDED,
@@ -300,3 +301,30 @@ def test_clauses_past_the_last_needed_class_are_never_ordered(monkeypatch):
     assert (result.verdict, list(result.order), list(result.entries)) == reference[:3]
     assert (s.peak_nodes, s.eliminations, s.clauses_processed, s.work) == reference[3:]
     assert 0 <= s.elapsed_time < 60
+
+
+# which random_3sat(n, round(4.3 * n), Random(1000 * n + s)), s = 0..3, are UNSAT
+UNSAT_3SAT = {(24, 1), (32, 0), (32, 3), (36, 0), (36, 3)}
+
+
+@pytest.mark.parametrize("n", [24, 28, 32, 36])
+def test_random_3sat_verdicts_past_the_oracle_match_dpll(n):
+    # unsorted clauses run for seconds or trip the node budget from n = 32
+    # on, so they are checked up to 24 only
+    configs = [SolveConfig()] + [SolveConfig(sort_clauses=False)] * (n <= 24)
+    for s in range(4):
+        f = random_3sat(n, round(4.3 * n), random.Random(1000 * n + s))
+        expected = SAT if dpll_satisfiable(f) else UNSAT
+        assert (expected == UNSAT) == ((n, s) in UNSAT_3SAT)
+        for cfg in configs:
+            result = check_sat(f, cfg)
+            assert result.verdict == expected
+            if expected == SAT:
+                assert evaluate_formula(f, result.models[0])
+
+
+@pytest.mark.parametrize("k", [5, 6])
+def test_pigeonhole_verdicts_past_the_oracle_match_dpll(k):
+    f = pigeonhole(k)
+    assert not dpll_satisfiable(f)
+    assert check_sat(f).verdict == UNSAT

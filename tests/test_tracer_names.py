@@ -55,9 +55,10 @@ def test_tracer_instruments_every_name(tmp_path):
     # check_sat sorts the list effective_clauses returns, once per solve
     assert calls["solver.order_sort"] == 2
     assert calls["solver.check_sat"] == 2
-    # each solve registers x3, x1, x2 and eliminates the 4 non-tautologies
+    # each solve hands its 4 non-tautologies to one eliminate call, which
+    # registers x3, x1, x2
     assert calls["tree.register"] == 6
-    assert calls["tree.eliminate"] == 6
+    assert calls["tree.eliminate"] == 2
     assert calls["cardinality.profile"] == 1
     assert calls["cardinality.preprocess"] == 1
 
@@ -72,9 +73,10 @@ def test_model_rendering_stays_inside_the_traced_span(tmp_path):
 
 def test_tripped_budget_stays_inside_the_traced_spans(tmp_path):
     # the node budget trips on the first registration, which raises out of
-    # the tree.register span and ends the solve with exit 30
+    # the tree.register span and the tree.eliminate span around it and ends
+    # the solve with exit 30
     codes, calls = traced(tmp_path, ["solve", "--max-nodes", "1", "CNF"])
     assert codes == [30]
     assert calls["solver.check_sat"] == 1
     assert calls["tree.register"] == 1
-    assert "tree.eliminate" not in calls
+    assert calls["tree.eliminate"] == 1

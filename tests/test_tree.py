@@ -6,16 +6,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import clauses, corpus, eliminate_hook
+from conftest import clauses, corpus
 from fpcsat.core import effective_clauses, normalize, variables_of
 from fpcsat.oracle import condition_check
 from fpcsat.instances import complete_minus_one, pigeonhole
 from fpcsat.solver import SAT, SolveConfig, SolveResult, check_sat
 from fpcsat.tree import (
+    NODE_BUDGET,
     BudgetExceeded,
     DuplicateVariableError,
     FpcTree,
-    UnregisteredVariableError,
     decode_fpcs,
     pack,
 )
@@ -64,7 +64,7 @@ def test_register_on_closed_tree():
     t.register_variable(2)
     assert t.frontier == []
     assert t.insertion_order == [1, 2]
-    t.eliminate([fs(2)])  # x2 is registered, so this is no error
+    t.eliminate([fs(2)])  # a closed frontier applies nothing
     assert t.open_fpcs() == []
 
 
@@ -91,10 +91,70 @@ def test_eliminate_empty_clause_closes_tree():
 
 
 def test_eliminate_unregistered_variable():
+    # eliminate registers a variable that its first clause brings
     t = FpcTree()
     t.register_variable(1)
-    with pytest.raises(UnregisteredVariableError):
-        t.eliminate([fs(2)])
+    t.eliminate([fs(2)])
+    assert t.insertion_order == [1, 2]
+    assert t.frontier == [0b00, 0b10]
+    # a tautology over a new variable registers it and then drops nothing
+    t.eliminate([fs(3, -3)])
+    assert t.insertion_order == [1, 2, 3]
+    assert (t.frontier, t.applied, t.eliminations) == ([0b000, 0b001, 0b100, 0b101], 2, 2)
+
+
+def by_hand(run, node_budget=NODE_BUDGET):
+    """A frontier that applies ``run`` through explicit calls: one
+    ``eliminate`` call per run of clauses over registered variables, and the
+    new variables of the clause after a run registered, in ascending order,
+    between two calls."""
+    t = FpcTree(node_budget=node_budget)
+    first = 0
+    for i, c in enumerate(run):
+        if not t.literals.issuperset(c):
+            t.eliminate(run[first:i])
+            if not t.frontier:
+                return t
+            for var in sorted({abs(lit) for lit in c} - set(t.insertion_order)):
+                t.register_variable(var)
+            first = i
+    t.eliminate(run[first:])
+    return t
+
+
+def full_state(t):
+    return (t.frontier, t.insertion_order, t.work, t.applied, t.eliminations, t.peak_nodes)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(clauses(6, 4), max_size=14))
+def test_eliminate_registers_as_explicit_calls_do(run):
+    t = FpcTree()
+    t.eliminate(run)
+    assert full_state(t) == full_state(by_hand(run))
+
+
+def test_eliminate_registers_between_passes():
+    # Fig. 2's formula in one call: x1 registers (1 entry scanned), {-1}
+    # takes a pass (2), x2 registers (1), {1, -2} takes a pass (2)
+    t = FpcTree()
+    t.eliminate([fs(-1), fs(1, -2)])
+    assert t.open_fpcs() == [fs(1, 2)]
+    assert full_state(t) == full_state(by_hand([fs(-1), fs(1, -2)]))
+    assert (t.work, t.applied, t.eliminations) == (1 + 2 + 1 + 2, 2, 2)
+
+
+def test_node_budget_trips_at_a_registration_inside_eliminate():
+    # {1, 2} registers x1, x2 (4 entries) and its pass drops 0b11 when {3}
+    # arrives; the tautology takes no pass; x3 would double 3 entries past 4
+    run = [fs(1, 2), fs(2, -2), fs(3), fs(-1)]
+    t = FpcTree(node_budget=4)
+    with pytest.raises(BudgetExceeded) as exc:
+        t.eliminate(run)
+    assert exc.value.kind == "nodes"
+    assert full_state(t) == ([0b00, 0b01, 0b10], [1, 2], 1 + 2 + 4, 2, 1, 4)
+    with pytest.raises(BudgetExceeded):
+        by_hand(run, node_budget=4)
 
 
 def test_eliminate_both_polarities_closes():
@@ -342,24 +402,23 @@ def test_charge_books_one_clause_passes_that_drop_nothing(limit, applied, work):
         assert (t.frontier, t.applied, t.work, t.eliminations) == ([0b11], applied, work, 3)
 
 
-def test_check_sat_hands_eliminate_only_registered_clauses():
-    # eliminate's precondition
+def test_check_sat_calls_eliminate_once_per_solve(monkeypatch):
+    # the frontier registers its own variables, so one call takes every
+    # clause the solve hands over; only the empty clause decides without it
     formulas = [
         *corpus(seed=12, count=150, n_max=9, m_factor=3),
         *(pigeonhole(k) for k in range(2, 6)),
         *(complete_minus_one(n) for n in range(1, 6)),
     ]
-    taken = []
-
-    def hook(tree, c):
-        assert tree.literals.issuperset(c)
-        taken.append(c)
-
-    with eliminate_hook(hook):
-        for f in formulas:
-            for sort_clauses in (True, False):
-                check_sat(f, SolveConfig(sort_clauses=sort_clauses))
-    assert len(taken) > 1000
+    eliminate, calls = FpcTree.eliminate, []
+    monkeypatch.setattr(FpcTree, "eliminate", lambda t, cs: calls.append(1) or eliminate(t, cs))
+    for f in formulas:
+        reaches = not normalize(f).has_empty_clause
+        for cfg in (SolveConfig(), SolveConfig(sort_clauses=False), SolveConfig(node_budget=8),
+                    SolveConfig(work_budget=40)):
+            calls.clear()
+            result = check_sat(f, cfg)
+            assert len(calls) == reaches, (result.verdict, result.stats)
 
 
 def test_one_entry_tautology_and_empty_clause():
