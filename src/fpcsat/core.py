@@ -9,9 +9,11 @@ formula is always true).
 
 from __future__ import annotations
 
+import gc
+from contextlib import contextmanager
 from itertools import chain
 from operator import neg
-from typing import Iterable, Mapping, NamedTuple
+from typing import Iterable, Iterator, Mapping, NamedTuple
 
 Literal = int
 Clause = frozenset[int]
@@ -34,6 +36,21 @@ def clause(lits: Iterable[int]) -> Clause:
     if 0 in c:
         raise ValueError("0 is not a literal")
     return c
+
+
+@contextmanager
+def gc_paused() -> Iterator[None]:
+    """Pause the cyclic garbage collector while a block, or each call of a
+    function it decorates, runs; it resumes on exit, exceptions included, if
+    it ran before.  Clauses hold only ints and form no cycles, so a collection
+    while clause sets are built only rescans them."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def literal_key(lit: Literal) -> int:

@@ -3,9 +3,10 @@
 from __future__ import annotations
 
 import re
+from itertools import repeat
 from typing import NamedTuple
 
-from .core import Clause, Formula, canonical_literals, clause_key, variables_of
+from .core import Clause, Formula, gc_paused, literal_key
 from .tree import sign_bits
 
 
@@ -19,6 +20,7 @@ class DimacsDocument(NamedTuple):
     clauses: list[Clause]
     warnings: list[str]
 
+    @gc_paused()
     def to_formula(self) -> Formula:
         return Formula(clauses=frozenset(self.clauses), original_count=len(self.clauses))
 
@@ -40,6 +42,7 @@ def _check_tokens(line: str, lineno: int) -> None:
         raise DimacsError(f"line {lineno}: non-integer token {token!r}")
 
 
+@gc_paused()
 def parse_dimacs(text: str) -> DimacsDocument:
     """Parse DIMACS CNF text.
 
@@ -126,19 +129,27 @@ def parse_dimacs(text: str) -> DimacsDocument:
     )
 
 
+class _LiteralKeys(dict):
+    """``literal_key`` of each literal, computed the first time it is asked for."""
+
+    def __missing__(self, lit):
+        key = self[lit] = literal_key(lit)
+        return key
+
+
+@gc_paused()
 def write_dimacs(f: Formula) -> str:
     """Render a formula as DIMACS text; round-trips through ``parse_dimacs``.
 
-    Clauses are emitted in canonical order so output is byte-stable.
-    """
-    variables = variables_of(f)
-    n = max(variables) if variables else 0
-    lines = [f"p cnf {n} {len(f.clauses)}"]
-    for c in sorted(f.clauses, key=clause_key):
-        parts = [str(lit) for lit in canonical_literals(c)]
-        parts.append("0")
-        lines.append(" ".join(parts))
-    return "\n".join(lines) + "\n"
+    Clauses come in ``clause_key`` order, literals by ``literal_key``, so the
+    output is byte-stable: lists of literal keys, sorted, then stably by length."""
+    keys = _LiteralKeys()
+    rows = sorted(map(sorted, map(map, repeat(keys.__getitem__), f.clauses)))
+    rows.sort(key=len)
+    text = {key: f"{lit} " for lit, key in keys.items()}
+    body = "0\n".join(map("".join, map(map, repeat(text.__getitem__), rows)))
+    n = max(text, default=0) >> 1
+    return f"p cnf {n} {len(rows)}\n" + body + "0\n" * bool(rows)
 
 
 # literals per batch of v lines, the most text write_result holds at once

@@ -17,6 +17,7 @@ from .core import (
     Clause,
     Formula,
     VariableSet,
+    gc_paused,
     is_tautology,
     variables_of,
 )
@@ -176,13 +177,14 @@ def condition_check(f: Formula, variables: VariableSet | None = None) -> list[Cl
     return out
 
 
+@gc_paused()
 def complete_formula(v: VariableSet) -> Formula:
     """All 3^n non-tautology clauses over ``v``, the empty clause included:
-    each variable occurs positively, negatively or not at all."""
+    each variable in turn adds either literal, or neither, to every clause."""
     ordered = sorted(v)
     _check_limit(len(ordered), 12, "complete_formula")
-    clauses = frozenset(
-        frozenset(s * var for s, var in zip(choice, ordered) if s != 0)
-        for choice in itertools.product((1, -1, 0), repeat=len(ordered))
-    )
-    return Formula(clauses=clauses, original_count=len(clauses))
+    clauses: list[Clause] = [frozenset()]
+    for var in ordered:
+        pos, neg = frozenset([var]), frozenset([-var])
+        clauses += [*map(pos.__or__, clauses), *map(neg.__or__, clauses)]
+    return Formula(clauses=frozenset(clauses), original_count=len(clauses))

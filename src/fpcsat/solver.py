@@ -91,17 +91,17 @@ def check_sat(f: Formula, cfg: SolveConfig = SolveConfig()) -> SolveResult:
         # solve reaches it; or a deterministic cardinality-blind one, one class
         clauses.sort(key=len if cfg.sort_clauses else canonical_literals)
         n = len(clauses)
-        # once every variable is registered, no clause left registers one
-        variables = len(set(map(abs, set().union(*clauses))))
 
         def ordered() -> Iterator[Clause]:
             """The clauses class by class, each class ordered as the solve reaches
-            it, up to the first class boundary where every variable is registered
-            and one FPC survives that no clause left is a subset of: by the
-            sibling-clause result, the rest drops nothing."""
+            it, up to the first class boundary where one FPC survives, every
+            clause left is over registered variables, and none is a subset of
+            that FPC: by the sibling-clause result, the rest drops nothing."""
             begin = 0
             while begin < n:
-                if len(tree.insertion_order) == variables and len(tree.frontier) == 1:
+                if len(tree.frontier) == 1 and all(
+                    map(tree.literals.issuperset, islice(clauses, begin, None))
+                ):
                     (fpc,) = decode_fpcs(tree.insertion_order, tree.frontier)
                     if not any(map(fpc.issuperset, islice(clauses, begin, None))):
                         return

@@ -1,3 +1,4 @@
+import gc
 import pickle
 
 import pytest
@@ -14,6 +15,7 @@ from fpcsat.core import (
     clause,
     evaluate_clause,
     evaluate_formula,
+    gc_paused,
     is_fully_populated,
     is_tautology,
     normalize,
@@ -143,3 +145,42 @@ def test_subset_of_false_clause_is_false(c, data):
         return
     subset = data.draw(st.sets(st.sampled_from(sorted(c)) if c else st.nothing()))
     assert not evaluate_clause(frozenset(subset), a)
+
+
+@pytest.fixture
+def collector():
+    """Restore the collector's state after the test, whatever it leaves."""
+    enabled = gc.isenabled()
+    yield
+    (gc.enable if enabled else gc.disable)()
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_gc_paused_restores_the_collector_state(collector, enabled):
+    (gc.enable if enabled else gc.disable)()
+    with gc_paused():
+        assert not gc.isenabled()
+    assert gc.isenabled() == enabled
+    with pytest.raises(ZeroDivisionError):
+        with gc_paused():
+            1 / 0
+    assert gc.isenabled() == enabled
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_gc_paused_as_a_decorator(collector, enabled):
+    @gc_paused()
+    def build(fail):
+        if fail:
+            raise ValueError("no clauses")
+        return gc.isenabled()
+
+    (gc.enable if enabled else gc.disable)()
+    assert build(False) is False
+    assert gc.isenabled() == enabled
+    with pytest.raises(ValueError):
+        build(True)
+    assert gc.isenabled() == enabled
+    # each call pauses afresh
+    assert build(False) is False
+    assert gc.isenabled() == enabled

@@ -6,10 +6,11 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from conftest import formulas
-from fpcsat.core import Formula, clause_key
+from fpcsat.core import Formula, canonical_literals, clause_key, variables_of
 from fpcsat.dimacs import (
     BATCH_LITERALS, DimacsError, parse_dimacs, write_dimacs, write_result,
 )
+from fpcsat.instances import complete_minus_one
 from fpcsat.solver import SAT, SolveConfig, SolveResult, check_sat
 
 
@@ -171,6 +172,30 @@ def test_write_parse_round_trip(f):
     assert doc.declared_clauses == len(f.clauses)
     assert not doc.warnings
     assert write_dimacs(doc.to_formula()) == text
+
+
+def reference_write_dimacs(f) -> str:
+    """The writer clause by clause: sorted by ``clause_key``, literals by
+    ``canonical_literals``, ``n`` the largest of ``variables_of``."""
+    variables = variables_of(f)
+    lines = [f"p cnf {max(variables, default=0)} {len(f.clauses)}"]
+    for c in sorted(f.clauses, key=clause_key):
+        lines.append(" ".join([*map(str, canonical_literals(c)), "0"]))
+    return "\n".join(lines) + "\n"
+
+
+@given(formulas(max_var=9, max_clauses=12, max_size=5))
+@example(Formula.from_clauses([]))
+@example(Formula.from_clauses([[]]))
+@example(Formula.from_clauses([[3, -3], [], [2, -1, 2], [2, -1], [-3, 3, 1], [7]]))
+def test_write_matches_clause_by_clause_reference(f):
+    assert write_dimacs(f) == reference_write_dimacs(f)
+
+
+@pytest.mark.parametrize("n", range(9))
+def test_write_complete_minus_one_matches_reference(n):
+    f = complete_minus_one(n)
+    assert write_dimacs(f) == reference_write_dimacs(f)
 
 
 def render(result) -> str:

@@ -97,6 +97,29 @@ def test_complete_formula_matches_listing():
     assert all(not is_tautology(c) for c in f2.clauses)
 
 
+def reference_complete_formula(v):
+    """Each clause from one choice of positive, negative or absent per variable."""
+    ordered = sorted(v)
+    return frozenset(
+        frozenset(s * var for s, var in zip(choice, ordered) if s != 0)
+        for choice in itertools.product((1, -1, 0), repeat=len(ordered))
+    )
+
+
+@pytest.mark.parametrize(
+    "v", [frozenset(range(1, n + 1)) for n in range(8)] + [fs(2, 5, 9)]
+)
+def test_complete_formula_matches_product_reference(v):
+    f = complete_formula(v)
+    assert f.clauses == reference_complete_formula(v)
+    assert f.original_count == len(f.clauses) == 3 ** len(v)
+
+
+def test_complete_formula_keeps_its_limit():
+    with pytest.raises(VariableLimitError):
+        complete_formula(frozenset(range(1, 14)))
+
+
 def test_complete_formula_is_union_of_fpc_power_sets():
     # every non-tautology clause over v is a subset of some FPC over v
     for n in range(0, 7):

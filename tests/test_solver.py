@@ -304,10 +304,10 @@ def test_clauses_past_the_last_needed_class_are_never_ordered(monkeypatch):
 
 
 # which random_3sat(n, round(4.3 * n), Random(1000 * n + s)), s = 0..3, are UNSAT
-UNSAT_3SAT = {(24, 1), (32, 0), (32, 3), (36, 0), (36, 3)}
+UNSAT_3SAT = {(24, 1), (32, 0), (32, 3), (36, 0), (36, 3), (40, 0), (40, 1)}
 
 
-@pytest.mark.parametrize("n", [24, 28, 32, 36])
+@pytest.mark.parametrize("n", [24, 28, 32, 36, 40])
 def test_random_3sat_verdicts_past_the_oracle_match_dpll(n):
     # unsorted clauses run for seconds or trip the node budget from n = 32
     # on, so they are checked up to 24 only
