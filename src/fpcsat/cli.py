@@ -99,20 +99,17 @@ def _cmd_stats(args) -> int:
 
     f = _read_formula(args.file)
     prof = cardinality.profile(f)
-    rows = [
-        ("formula", "clauses", prof.total),
-        ("formula", "effective_clauses", prof.n_effective),
-        ("formula", "variables", prof.n),
-        ("formula", "duplicates_removed", f.original_count - prof.total),
-        ("formula", "tautology_clauses", prof.total - prof.n_effective),
-        ("formula", "has_empty_clause", str(EMPTY_CLAUSE in f.clauses).lower()),
-    ]
+    print(f"clauses={prof.total}")
+    print(f"effective_clauses={prof.n_effective}")
+    print(f"variables={prof.n}")
+    print(f"duplicates_removed={f.original_count - prof.total}")
+    print(f"tautology_clauses={prof.total - prof.n_effective}")
+    print(f"has_empty_clause={str(EMPTY_CLAUSE in f.clauses).lower()}")
     for var in sorted(prof.per_variable):
         counts = prof.per_variable[var]
-        rows.append((f"var:{var}", "n_pos", counts.n_pos))
-        rows.append((f"var:{var}", "n_neg", counts.n_neg))
-        rows.append((f"var:{var}", "n_either", counts.n_either))
-    _emit_rows(rows)
+        print(f"var:{var} n_pos={counts.n_pos}")
+        print(f"var:{var} n_neg={counts.n_neg}")
+        print(f"var:{var} n_either={counts.n_either}")
     return 0
 
 
@@ -121,31 +118,20 @@ def _cmd_preprocess(args) -> int:
 
     f = _read_formula(args.file)
     report = cardinality.preprocess(f)
-    rows = [
-        ("formula", "variables", report.n),
-        ("formula", "effective_clauses", report.effective_count),
-        ("formula", "has_tautology", str(report.has_tautology).lower()),
-        ("formula", "general_bound", report.general_bound),
-        ("formula", "unsat_by_general_bound", str(report.unsat_by_general_bound).lower()),
-    ]
+    print(f"variables={report.n}")
+    print(f"effective_clauses={report.effective_count}")
+    print(f"has_tautology={str(report.has_tautology).lower()}")
+    print(f"general_bound={report.general_bound}")
+    print(f"unsat_by_general_bound={str(report.unsat_by_general_bound).lower()}")
     if report.effective_bound is not None:
-        rows.append(("formula", "effective_bound", report.effective_bound))
-        rows.append(
-            ("formula", "unsat_by_total_bound", str(report.unsat_by_total_bound).lower())
-        )
+        print(f"effective_bound={report.effective_bound}")
+        print(f"unsat_by_total_bound={str(report.unsat_by_total_bound).lower()}")
     for var in report.unsat_by_variable_bound:
-        rows.append((f"var:{var}", "unsat_by_variable_bound", "true"))
+        print(f"var:{var} unsat_by_variable_bound=true")
     for var, value in report.forced_literals:
-        rows.append((f"var:{var}", "forced_value", int(value)))
-    rows.append(("formula", "proves_unsat", str(report.proves_unsat).lower()))
-    _emit_rows(rows)
+        print(f"var:{var} forced_value={int(value)}")
+    print(f"proves_unsat={str(report.proves_unsat).lower()}")
     return 0
-
-
-def _emit_rows(rows) -> None:
-    for scope, key, value in rows:
-        prefix = "" if scope == "formula" else scope + " "
-        print(f"{prefix}{key}={value}")
 
 
 def _parse_range(text: str) -> list[int]:

@@ -156,7 +156,7 @@ def normalize(f: Formula) -> NormalizeReport:
     Formula): the duplicates dropped, the tautology clauses, which callers
     skip, and the presence of the empty clause, which decides everything.
     """
-    tautologies = tuple(sorted((c for c in f.clauses if is_tautology(c)), key=clause_key))
+    tautologies = tuple(filter(is_tautology, f.clauses))
     return NormalizeReport(
         duplicates_removed=f.original_count - len(f.clauses),
         tautologies=tautologies,

@@ -1,10 +1,11 @@
-"""Brute-force ground truth: truth-table SAT, FPC enumeration, the
-satisfiability condition checker, and complete-formula generation.
+"""Brute-force ground truth: truth-table SAT, FPC enumeration, the paper's
+satisfiability condition, and complete-formula generation.
 
 Everything here is deliberately independent of the elimination solver so the
 two can cross-check each other.  Truth tables are evaluated as big-integer
 bit columns (one bit per assignment), which keeps exhaustive runs up to the
-variable limits cheap.
+variable limits cheap; the condition is checked with plain subset tests
+between FPCs and clauses.
 """
 
 from __future__ import annotations
@@ -13,14 +14,7 @@ import itertools
 from functools import lru_cache
 from typing import NamedTuple
 
-from .core import (
-    Clause,
-    Formula,
-    VariableSet,
-    gc_paused,
-    is_tautology,
-    variables_of,
-)
+from .core import Clause, Formula, VariableSet, gc_paused, variables_of
 
 
 class VariableLimitError(ValueError):
@@ -67,13 +61,27 @@ def _truth_column(f: Formula, ordered_vars: list[int]) -> int:
 class OracleResult(NamedTuple):
     satisfiable: bool
     models: tuple[dict[int, bool], ...]
-    falsified_fpc_per_model: tuple[Clause, ...]
+
+    @property
+    def falsified_fpc_per_model(self) -> tuple[Clause, ...]:
+        return tuple(map(falsified_fpc, self.models))
 
 
 def falsified_fpc(model: dict[int, bool]) -> Clause:
     """The unique fully populated clause every literal of which is false
     under the given total assignment."""
     return frozenset(-v if value else v for v, value in model.items())
+
+
+def _variables(f: Formula, variables: VariableSet | None) -> VariableSet:
+    """The formula's own variables, or the explicit set once it is checked to
+    cover them."""
+    if variables is None:
+        return variables_of(f)
+    varset = frozenset(variables)
+    if not varset >= variables_of(f):
+        raise ValueError("explicit variable set must cover the formula's variables")
+    return varset
 
 
 def brute_force_sat(
@@ -87,29 +95,19 @@ def brute_force_sat(
     ``collect_models=False`` skips materializing the (possibly exponential)
     model list; the verdict is unaffected.
     """
-    varset = variables_of(f) if variables is None else frozenset(variables)
-    if variables is not None and not varset >= variables_of(f):
-        raise ValueError("explicit variable set must cover the formula's variables")
-    ordered = sorted(varset)
+    ordered = sorted(_variables(f, variables))
     _check_limit(len(ordered), limit_vars, "brute_force_sat")
     column = _truth_column(f, ordered)
     if not collect_models:
-        return OracleResult(satisfiable=column != 0, models=(), falsified_fpc_per_model=())
+        return OracleResult(satisfiable=column != 0, models=())
     models = []
-    fpcs = []
     rest = column
     while rest:
         low = rest & -rest
         a = low.bit_length() - 1
         rest ^= low
-        model = {v: bool((a >> j) & 1) for j, v in enumerate(ordered)}
-        models.append(model)
-        fpcs.append(falsified_fpc(model))
-    return OracleResult(
-        satisfiable=bool(models),
-        models=tuple(models),
-        falsified_fpc_per_model=tuple(fpcs),
-    )
+        models.append({v: bool((a >> j) & 1) for j, v in enumerate(ordered)})
+    return OracleResult(satisfiable=bool(models), models=tuple(models))
 
 
 def enumerate_fpcs(v: VariableSet) -> list[Clause]:
@@ -134,47 +132,14 @@ def power_set(c: Clause) -> set[Clause]:
 
 
 def condition_check(f: Formula, variables: VariableSet | None = None) -> list[Clause]:
-    """Fully populated clauses over the formula's variables none of whose
-    subsets occur in the formula (tautology clauses ignored).
-
-    A clause D is a subset of an FPC exactly when the FPC agrees with D on
-    all of D's variables, so one subset test per formula clause replaces
-    power-set enumeration.
-    """
-    varset = variables_of(f) if variables is None else frozenset(variables)
-    if variables is not None and not varset >= variables_of(f):
-        raise ValueError("explicit variable set must cover the formula's variables")
-    ordered = sorted(varset)
-    n = len(ordered)
-    _check_limit(n, 20, "condition_check")
-    slot = {v: j for j, v in enumerate(ordered)}
-
-    masks = []
-    for c in f.clauses:
-        if is_tautology(c):
-            continue
-        vmask = pmask = 0
-        for lit in c:
-            bit = 1 << slot[abs(lit)]
-            vmask |= bit
-            if lit > 0:
-                pmask |= bit
-        masks.append((vmask, pmask))
-
-    out = []
-    for i in range(1 << n):
-        # enumerate in the same order as enumerate_fpcs: first variable
-        # flips slowest, positive polarity first
-        spos = 0
-        for j in range(n):
-            if not (i >> (n - 1 - j)) & 1:
-                spos |= 1 << j
-        if any((spos & vm) == pm for vm, pm in masks):
-            continue
-        out.append(
-            frozenset(v if (spos >> j) & 1 else -v for j, v in enumerate(ordered))
-        )
-    return out
+    """The paper's condition: the fully populated clauses over the formula's
+    variables, in ``enumerate_fpcs`` order, none of whose subsets is a clause
+    of the formula.  The formula is satisfiable exactly when the list is not
+    empty.  A tautology clause is a subset of no FPC, so it drops none."""
+    return [
+        fpc for fpc in enumerate_fpcs(_variables(f, variables))
+        if not any(map(fpc.issuperset, f.clauses))
+    ]
 
 
 @gc_paused()

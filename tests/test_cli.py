@@ -288,6 +288,73 @@ def test_preprocess_output(tmp_path):
     assert "proves_unsat=false" in proc.stdout
 
 
+STATS_AND_PREPROCESS_INPUTS = {
+    "noisy": "p cnf 2 5\n1 -1 0\n2 0\n2 0\n0\n-2 1 0\n",
+    "forced": "p cnf 2 3\n1 0\n1 2 0\n1 -2 0\n",
+    "bound": "p cnf 1 2\n1 0\n-1 0\n",
+    "cmo4": None,  # write_dimacs(complete_minus_one(4))
+}
+
+STATS_AND_PREPROCESS_STDOUT = {
+    ("noisy", "stats"): [
+        "clauses=4", "effective_clauses=3", "variables=2", "duplicates_removed=1",
+        "tautology_clauses=1", "has_empty_clause=true",
+        "var:1 n_pos=2", "var:1 n_neg=1", "var:1 n_either=2",
+        "var:2 n_pos=1", "var:2 n_neg=1", "var:2 n_either=2",
+    ],
+    ("noisy", "preprocess"): [
+        "variables=2", "effective_clauses=3", "has_tautology=true", "general_bound=12",
+        "unsat_by_general_bound=false", "proves_unsat=false",
+    ],
+    ("forced", "stats"): [
+        "clauses=3", "effective_clauses=3", "variables=2", "duplicates_removed=0",
+        "tautology_clauses=0", "has_empty_clause=false",
+        "var:1 n_pos=3", "var:1 n_neg=0", "var:1 n_either=3",
+        "var:2 n_pos=1", "var:2 n_neg=1", "var:2 n_either=2",
+    ],
+    ("forced", "preprocess"): [
+        "variables=2", "effective_clauses=3", "has_tautology=false", "general_bound=12",
+        "unsat_by_general_bound=false", "effective_bound=5", "unsat_by_total_bound=false",
+        "var:1 forced_value=1", "proves_unsat=false",
+    ],
+    ("bound", "stats"): [
+        "clauses=2", "effective_clauses=2", "variables=1", "duplicates_removed=0",
+        "tautology_clauses=0", "has_empty_clause=false",
+        "var:1 n_pos=1", "var:1 n_neg=1", "var:1 n_either=2",
+    ],
+    ("bound", "preprocess"): [
+        "variables=1", "effective_clauses=2", "has_tautology=false", "general_bound=2",
+        "unsat_by_general_bound=false", "effective_bound=1", "unsat_by_total_bound=true",
+        "var:1 unsat_by_variable_bound=true", "proves_unsat=true",
+    ],
+    ("cmo4", "stats"): [
+        "clauses=65", "effective_clauses=65", "variables=4", "duplicates_removed=0",
+        "tautology_clauses=0", "has_empty_clause=false",
+        *(f"var:{v} {key}" for v in range(1, 5)
+          for key in ("n_pos=19", "n_neg=27", "n_either=46")),
+    ],
+    ("cmo4", "preprocess"): [
+        "variables=4", "effective_clauses=65", "has_tautology=false", "general_bound=240",
+        "unsat_by_general_bound=false", "effective_bound=65", "unsat_by_total_bound=false",
+        *(f"var:{v} forced_value=0" for v in range(1, 5)),
+        "proves_unsat=false",
+    ],
+}
+
+
+@pytest.mark.parametrize("name, command", sorted(STATS_AND_PREPROCESS_STDOUT))
+def test_stats_and_preprocess_print_exactly_these_lines(name, command, tmp_path, capsys):
+    from fpcsat import cli
+    from fpcsat.instances import complete_minus_one
+
+    text = STATS_AND_PREPROCESS_INPUTS[name] or write_dimacs(complete_minus_one(4))
+    path = tmp_path / f"{name}.cnf"
+    path.write_text(text)
+    assert cli.main([command, str(path)]) == 0
+    expected = STATS_AND_PREPROCESS_STDOUT[name, command]
+    assert capsys.readouterr() == ("".join(line + "\n" for line in expected), "")
+
+
 def test_bench_rejects_a_reversed_range(tmp_path, capsys):
     from fpcsat import cli
 

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 
@@ -5,6 +6,7 @@ import pytest
 
 from conftest import corpus
 from fpcsat.core import Formula, evaluate_formula, is_tautology, variables_of
+from fpcsat.instances import complete_minus_one, pigeonhole, random_3sat
 from fpcsat.oracle import (
     VariableLimitError,
     brute_force_sat,
@@ -84,6 +86,103 @@ def test_condition_check_examples():
 def test_condition_check_ignores_tautologies():
     f = Formula.from_clauses([[1, -1]])
     assert set(condition_check(f)) == {fs(1), fs(-1)}
+
+
+def polarity_key(fpc):
+    """enumerate_fpcs's order, stated on its own: by sign, variable by variable
+    in ascending order, positive first."""
+    return [lit < 0 for lit in sorted(fpc, key=abs)]
+
+
+def explicit_variable_cases():
+    """(formula, explicit variable set) pairs: the formula's own variables,
+    and supersets holding variables the formula lacks."""
+    only_in_tautology = [
+        Formula.from_clauses([[3, -3], [1, 2], [-1]]),
+        Formula.from_clauses([[1, -1]]),
+        Formula.from_clauses([[2, -2, 4], [-4], [1]]),
+    ]
+    with_tautologies = corpus(seed=31, count=150, n_max=9, tautology_prob=0.3)
+    for f in [*only_in_tautology, *with_tautologies]:
+        v = variables_of(f)
+        top = max(v, default=0)
+        yield f, v
+        yield f, v | {top + 1}
+        yield f, v | {top + 2, top + 5}
+    yield Formula.from_clauses([]), frozenset()
+    yield Formula.from_clauses([]), fs(2, 7)
+    yield Formula.from_clauses([[]]), fs(1, 3)
+
+
+def test_condition_check_lists_the_fpcs_the_models_falsify_in_order():
+    for f, v in explicit_variable_cases():
+        falsified = brute_force_sat(f, variables=v).falsified_fpc_per_model
+        expected = sorted(falsified, key=polarity_key)
+        assert condition_check(f, variables=v) == expected
+        if v == variables_of(f):
+            assert condition_check(f) == expected
+
+
+def test_condition_check_names_a_variable_only_a_tautology_holds():
+    f = Formula.from_clauses([[3, -3], [1, 2], [-1]])
+    assert condition_check(f) == [fs(1, -2, 3), fs(1, -2, -3)]
+
+
+def test_condition_check_rejects_a_set_missing_a_formula_variable():
+    f = Formula.from_clauses([[1, 2], [-3, 3]])
+    for v in (fs(1), fs(1, 2), fs(2, 3, 4)):
+        with pytest.raises(ValueError, match="cover"):
+            condition_check(f, variables=v)
+
+
+def test_condition_check_keeps_the_twenty_variable_limit():
+    assert len(condition_check(Formula.from_clauses([[1]]), variables=frozenset(range(1, 11)))) == 2**9
+    wide = Formula.from_clauses([[v] for v in range(1, 22)])
+    with pytest.raises(VariableLimitError):
+        condition_check(wide)
+    with pytest.raises(VariableLimitError):
+        condition_check(Formula.from_clauses([]), variables=frozenset(range(1, 22)))
+
+
+# brute_force_sat's listings and verdicts and condition_check's survivors for
+# 146 formulas, each over its own variables and over a superset of them; a
+# change meant to leave the oracle's output as it was leaves the digest as it is
+ORACLE_DIGEST = "d0a4d060462562e053616eaaa6d980d15321465a6601d3664c04ae622ca19294"
+
+
+def oracle_digest_corpus():
+    for n in range(0, 7):
+        yield complete_minus_one(n)
+    yield from (pigeonhole(k) for k in range(1, 4))
+    yield from corpus(seed=37, count=120, n_max=10, tautology_prob=0.2)
+    rng = random.Random(37)
+    for n in range(3, 11):
+        for ratio in (1.5, 4.3):
+            yield random_3sat(n, round(ratio * n), rng)
+
+
+def oracle_digest():
+    h = hashlib.sha256()
+    for f in oracle_digest_corpus():
+        v = variables_of(f)
+        for variables in (None, v | {max(v, default=0) + 2}):
+            r = brute_force_sat(f, variables=variables)
+            quick = brute_force_sat(f, variables=variables, collect_models=False)
+            survivors = condition_check(f, variables=variables)
+            h.update(repr((
+                r.satisfiable,
+                [list(m.items()) for m in r.models],
+                [sorted(c) for c in r.falsified_fpc_per_model],
+                quick.satisfiable,
+                quick.models,
+                quick.falsified_fpc_per_model,
+                [sorted(c) for c in survivors],
+            )).encode())
+    return h.hexdigest()
+
+
+def test_oracle_digest_is_pinned():
+    assert oracle_digest() == ORACLE_DIGEST
 
 
 def test_complete_formula_matches_listing():
