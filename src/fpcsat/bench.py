@@ -16,7 +16,7 @@ import statistics
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .core import variables_of
-from .instances import FAMILIES, complete_minus_one, pigeonhole, random_3sat
+from .instances import FAMILIES, complete_minus_one, disjoint_pairs, pigeonhole, random_3sat
 from .solver import RESOURCE_EXCEEDED, SolveConfig, check_sat
 from .tree import NODE_BUDGET
 
@@ -80,6 +80,8 @@ def _build_instance(family: str, param: int, seed: int, ratio: float):
         return pigeonhole(param)
     if family == "complete-minus-one":
         return complete_minus_one(param)
+    if family == "disjoint-pairs":
+        return disjoint_pairs(param)
     raise ValueError(f"unknown family {family!r}")
 
 
@@ -118,11 +120,11 @@ def run_family(
     """Run one instance family across ``n_values``.
 
     ``n_values`` are the family parameter: variable count for random3sat and
-    complete-minus-one, hole count k for pigeonhole (the record's ``n`` is
-    always the true variable count).  Instance seeds derive deterministically
-    from (seed, parameter, repetition).  Records stream to ``on_record`` in
-    a deterministic order as soon as they finish, so partial runs are
-    usable.
+    complete-minus-one, hole count k for pigeonhole, pair count k for
+    disjoint-pairs (the record's ``n`` is always the true variable count).
+    Instance seeds derive deterministically from (seed, parameter,
+    repetition).  Records stream to ``on_record`` in a deterministic order as
+    soon as they finish, so partial runs are usable.
     """
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}; choose from {FAMILIES}")

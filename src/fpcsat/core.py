@@ -69,11 +69,6 @@ def _literal_keys(c: Clause) -> tuple[int, ...]:
     return tuple(sorted(map(literal_key, c)))
 
 
-def clause_key(c: Clause) -> tuple[int, tuple[int, ...]]:
-    """Sort key: ascending cardinality, lexicographic literals within a size."""
-    return (len(c), _literal_keys(c))
-
-
 def elimination_order_key(c: Clause) -> tuple[int, int, tuple[int, ...]]:
     """Clause processing order for the solver: ascending cardinality, then by
     the clause's largest variable, then lexicographic.

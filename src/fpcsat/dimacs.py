@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import re
 from itertools import repeat
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 from .core import Clause, Formula, gc_paused, literal_key
 from .tree import sign_bits
@@ -42,6 +42,57 @@ def _check_tokens(line: str, lineno: int) -> None:
         raise DimacsError(f"line {lineno}: non-integer token {token!r}")
 
 
+# a comment, header or ``%`` line: its first character past what
+# ``str.strip()`` strips is one of these; ``[^\S\n]`` is that whitespace
+# less the line feed
+_SPECIAL_LINE = re.compile(r"^[^\S\n]*[cp%].*$", re.M)
+# characters of text per block; a block ends at a line feed, so it may hold more
+BLOCK_CHARS = 1 << 16
+
+
+def _blocks(text: str, size: int) -> Iterator[str]:
+    """The text in pieces of about ``size`` characters that each end at a line
+    feed; the last piece is what follows the last line feed, maybe ``""``."""
+    head: list[str] = []
+    for i in range(0, len(text), size):
+        chunk = text[i:i + size]
+        cut = chunk.rfind("\n") + 1
+        if cut:
+            head.append(chunk[:cut])
+            yield "".join(head)
+            head = [chunk[cut:]]
+        else:
+            head.append(chunk)
+    yield "".join(head)
+
+
+class _Values(dict):
+    """``int()`` of each token, computed the first time it is asked for; a
+    token ``int()`` rejects raises its ``ValueError``.  ``top`` is the largest
+    ``abs()`` of the values so far."""
+
+    top = 0
+
+    def __missing__(self, token):
+        value = self[token] = int(token)
+        self.top = max(self.top, abs(value))
+        return value
+
+
+def _header(stripped: str, lineno: int) -> tuple[int, int]:
+    """The variable and clause counts of a ``p cnf n m`` line."""
+    parts = stripped.split()
+    if len(parts) != 4 or parts[1] != "cnf":
+        raise DimacsError(f"line {lineno}: malformed header {stripped!r}")
+    try:
+        counts = int(parts[2]), int(parts[3])
+    except ValueError:
+        raise DimacsError(f"line {lineno}: malformed header {stripped!r}") from None
+    if min(counts) < 0:
+        raise DimacsError(f"line {lineno}: negative counts in header")
+    return counts
+
+
 @gc_paused()
 def parse_dimacs(text: str) -> DimacsDocument:
     """Parse DIMACS CNF text.
@@ -56,62 +107,91 @@ def parse_dimacs(text: str) -> DimacsDocument:
     ``1_0``, non-ASCII digits or whitespace and the separators
     U+001C-U+001F, which ``int()``, ``str.split()`` or ``str.splitlines()``
     would read, are errors.
+
+    The text goes in blocks of about ``BLOCK_CHARS`` characters.  Comment,
+    header and ``%`` lines are handled one by one; each run of data lines
+    between them is converted in one pass, and walked line by line only if
+    it holds an error or a literal above ``declared_vars``.
     """
     declared_vars = declared_clauses = -1
     warnings: list[str] = []
     clauses: list[Clause] = []
-    current: set[int] = set()
-    current_len = 0
+    current: list[int] = []  # the literals of a clause still open
     collapsed = 0
+    values = _Values()
 
-    # one C-level scan of the whole text; only a text it flags, perhaps for
-    # a comment alone, is checked line by line
-    check = _HAS_UNDEFINED.search(text) is not None
-    for lineno, line in enumerate(text.split("\n"), start=1):
-        stripped = line.strip()
-        if stripped.startswith("c"):
-            continue
-        if check:
-            _check_tokens(line, lineno)
-        if not stripped:
-            continue
-        if stripped.startswith("%"):
-            break
-        if stripped.startswith("p"):
-            if declared_vars >= 0:
-                raise DimacsError(f"line {lineno}: duplicate header")
-            parts = stripped.split()
-            if len(parts) != 4 or parts[1] != "cnf":
-                raise DimacsError(f"line {lineno}: malformed header {stripped!r}")
+    def literals(run: str, lineno: int) -> list[int]:
+        """The literals of a run of data lines, the first of them ``lineno``."""
+        nonlocal declared_vars
+        if declared_vars >= 0 and _HAS_UNDEFINED.search(run) is None:
             try:
-                declared_vars, declared_clauses = int(parts[2]), int(parts[3])
+                lits = list(map(values.__getitem__, run.split()))
             except ValueError:
-                raise DimacsError(f"line {lineno}: malformed header {stripped!r}") from None
-            if declared_vars < 0 or declared_clauses < 0:
-                raise DimacsError(f"line {lineno}: negative counts in header")
-            continue
-        if declared_vars < 0:
-            raise DimacsError(f"line {lineno}: clause data before 'p cnf' header")
-        for token in stripped.split():
-            try:
-                lit = int(token)
-            except ValueError:
-                raise DimacsError(f"line {lineno}: non-integer token {token!r}") from None
-            if lit == 0:
-                clauses.append(frozenset(current))
-                collapsed += current_len - len(current)
-                current = set()
-                current_len = 0
+                pass
             else:
+                if values.top <= declared_vars:
+                    return lits
+        lits = []
+        for lineno, line in enumerate(run.split("\n"), start=lineno):
+            _check_tokens(line, lineno)
+            tokens = line.split()
+            if tokens and declared_vars < 0:
+                raise DimacsError(f"line {lineno}: clause data before 'p cnf' header")
+            for token in tokens:
+                try:
+                    lit = int(token)
+                except ValueError:
+                    raise DimacsError(f"line {lineno}: non-integer token {token!r}") from None
                 if abs(lit) > declared_vars:
                     warnings.append(
                         f"line {lineno}: literal {lit} exceeds declared_vars={declared_vars}"
                     )
                     declared_vars = abs(lit)
-                current.add(lit)
-                current_len += 1
+                lits.append(lit)
+        return lits
 
-    if current or current_len:
+    def add(run: str, lineno: int) -> int:
+        """Close each clause that a run of data lines ends; return the number
+        of the line after the run."""
+        nonlocal current, collapsed
+        lits = literals(run, lineno)
+        if current:
+            lits[:0] = current
+        a = 0
+        try:
+            while True:
+                b = lits.index(0, a)
+                # a frozenset of a set gets a table sized to the set, not to the list
+                c = frozenset(set(lits[a:b]))
+                clauses.append(c)
+                collapsed += b - a - len(c)
+                a = b + 1
+        except ValueError:
+            current = lits[a:]
+        return lineno + run.count("\n")
+
+    lineno = 1
+    for block in _blocks(text, BLOCK_CHARS):
+        start = 0
+        for m in _SPECIAL_LINE.finditer(block):
+            lineno = add(block[start:m.start()], lineno)
+            start = m.end() + 1
+            line = m.group()
+            stripped = line.strip()
+            if not stripped.startswith("c"):
+                _check_tokens(line, lineno)
+                if stripped.startswith("%"):
+                    break
+                if declared_vars >= 0:
+                    raise DimacsError(f"line {lineno}: duplicate header")
+                declared_vars, declared_clauses = _header(stripped, lineno)
+            lineno += 1
+        else:
+            lineno = add(block[start:], lineno)
+            continue
+        break  # at a % line
+
+    if current:
         raise DimacsError("unterminated clause at end of input (missing trailing 0)")
     if declared_vars < 0:
         raise DimacsError("missing 'p cnf' header")
@@ -141,8 +221,8 @@ class _LiteralKeys(dict):
 def write_dimacs(f: Formula) -> str:
     """Render a formula as DIMACS text; round-trips through ``parse_dimacs``.
 
-    Clauses come in ``clause_key`` order, literals by ``literal_key``, so the
-    output is byte-stable: lists of literal keys, sorted, then stably by length."""
+    Clauses come by ascending length, then by their lists of literal keys,
+    literals by ``literal_key``, so the output is byte-stable."""
     keys = _LiteralKeys()
     rows = sorted(map(sorted, map(map, repeat(keys.__getitem__), f.clauses)))
     rows.sort(key=len)

@@ -1,5 +1,5 @@
-"""Instance generators: random k-SAT, pigeonhole, and the guaranteed-SAT
-complete-formula-minus-one-power-set family."""
+"""Instance generators: random k-SAT, pigeonhole, the guaranteed-SAT
+complete-formula-minus-one-power-set family, and disjoint pairs."""
 
 from __future__ import annotations
 
@@ -9,7 +9,7 @@ from .core import Formula
 from .oracle import complete_formula, power_set
 
 # the families ``bench.run_family`` builds
-FAMILIES = ("random3sat", "pigeonhole", "complete-minus-one")
+FAMILIES = ("random3sat", "pigeonhole", "complete-minus-one", "disjoint-pairs")
 
 
 def random_3sat(n: int, m: int, rng: random.Random) -> Formula:
@@ -82,3 +82,9 @@ def complete_minus_one(n: int) -> Formula:
     v = frozenset(range(1, n + 1))
     remaining = complete_formula(v).clauses - power_set(v)
     return Formula(clauses=remaining, original_count=len(remaining))
+
+
+def disjoint_pairs(k: int) -> Formula:
+    """The k clauses (x_{2i-1} or x_{2i}), i = 1..k: satisfiable, with 3^k
+    models over its 2k variables."""
+    return Formula.from_clauses([[2 * i - 1, 2 * i] for i in range(1, k + 1)])

@@ -8,11 +8,19 @@ from fpcsat.core import (
     canonical_literals,
     effective_clauses,
     elimination_order_key,
+    literal_key,
     normalize,
 )
 from fpcsat.instances import complete_minus_one, random_formula
 from fpcsat.solver import RESOURCE_EXCEEDED, SAT, UNSAT
 from fpcsat.tree import BudgetExceeded, FpcTree
+
+
+def clause_key(c):
+    """The order ``write_dimacs`` writes clauses in: ascending cardinality,
+    then the sorted ``literal_key``s; ``test_ordering`` checks it against
+    the (variable, sign) tuple key it replaced."""
+    return (len(c), tuple(sorted(map(literal_key, c))))
 
 
 def literals(max_var: int = 8):

@@ -1,14 +1,17 @@
 import io
 import random
+from unittest.mock import patch
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import formulas
-from fpcsat.core import Formula, canonical_literals, clause_key, variables_of
+from conftest import clause_key, formulas
+from fpcsat import dimacs
+from fpcsat.core import Formula, canonical_literals, variables_of
 from fpcsat.dimacs import (
-    BATCH_LITERALS, DimacsError, parse_dimacs, write_dimacs, write_result,
+    BATCH_LITERALS, BLOCK_CHARS, DimacsDocument, DimacsError, _check_tokens, parse_dimacs,
+    write_dimacs, write_result,
 )
 from fpcsat.instances import complete_minus_one
 from fpcsat.solver import SAT, SolveConfig, SolveResult, check_sat
@@ -156,6 +159,155 @@ def test_parse_warnings():
 def test_parse_keeps_tautology():
     doc = parse_dimacs("p cnf 1 1\n1 -1 0\n")
     assert doc.clauses == [fs(1, -1)]
+
+
+def reference_parse_dimacs(text: str) -> DimacsDocument:
+    """The parser line by line and token by token, as it was before it went
+    by blocks and runs of data lines."""
+    declared_vars = declared_clauses = -1
+    warnings: list[str] = []
+    clauses = []
+    current: set[int] = set()
+    current_len = 0
+    collapsed = 0
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        stripped = line.strip()
+        if stripped.startswith("c"):
+            continue
+        _check_tokens(line, lineno)
+        if not stripped:
+            continue
+        if stripped.startswith("%"):
+            break
+        if stripped.startswith("p"):
+            if declared_vars >= 0:
+                raise DimacsError(f"line {lineno}: duplicate header")
+            parts = stripped.split()
+            if len(parts) != 4 or parts[1] != "cnf":
+                raise DimacsError(f"line {lineno}: malformed header {stripped!r}")
+            try:
+                declared_vars, declared_clauses = int(parts[2]), int(parts[3])
+            except ValueError:
+                raise DimacsError(f"line {lineno}: malformed header {stripped!r}") from None
+            if declared_vars < 0 or declared_clauses < 0:
+                raise DimacsError(f"line {lineno}: negative counts in header")
+            continue
+        if declared_vars < 0:
+            raise DimacsError(f"line {lineno}: clause data before 'p cnf' header")
+        for token in stripped.split():
+            try:
+                lit = int(token)
+            except ValueError:
+                raise DimacsError(f"line {lineno}: non-integer token {token!r}") from None
+            if lit == 0:
+                clauses.append(frozenset(current))
+                collapsed += current_len - len(current)
+                current = set()
+                current_len = 0
+            else:
+                if abs(lit) > declared_vars:
+                    warnings.append(
+                        f"line {lineno}: literal {lit} exceeds declared_vars={declared_vars}"
+                    )
+                    declared_vars = abs(lit)
+                current.add(lit)
+                current_len += 1
+    if current or current_len:
+        raise DimacsError("unterminated clause at end of input (missing trailing 0)")
+    if declared_vars < 0:
+        raise DimacsError("missing 'p cnf' header")
+    if declared_clauses != len(clauses):
+        warnings.append(f"header declares {declared_clauses} clauses, found {len(clauses)}")
+    if collapsed:
+        warnings.append(f"collapsed {collapsed} duplicate literal(s) inside clauses")
+    return DimacsDocument(declared_vars, declared_clauses, clauses, warnings)
+
+
+LITERALS = st.one_of(st.integers(-9, 9).map(str), st.sampled_from(["00", "-0", "007", "-12"]))
+SEPARATORS = st.sampled_from([" ", " ", " ", "  ", "\t", "\x0b", "\x0c"])
+QUIET_LINES = st.sampled_from([
+    "c", "c comment", "c caf\u00e9 +3 \u3000", "  c indented", "\u3000c after U+3000",
+    "", " ", "\t",
+])
+RARE_LINES = st.sampled_from([
+    "%", " %", "p cnf 3 4", "  p cnf 9 2", "p cnf 2", "p dnf 1 1", "p cnf x 1", "p cnf -1 1",
+    "p cnf +3 1",
+])
+# what int() or str.split() accept but DIMACS does not, and plain junk
+UNDEFINED = st.sampled_from(
+    ["+3", "1_0", "\u0663", "-\uff13", "x", "-", "\x1c", "\x1f", "\xa0", "\u2028", "\u3000"]
+)
+
+
+@st.composite
+def dimacs_texts(draw):
+    """Texts of data lines, with comment, blank, header and ``%`` lines among
+    them, mostly after a header, with LF or CRLF ends, maybe no final line
+    feed, and in one text in four something DIMACS does not define."""
+    lines = []
+    if draw(st.integers(0, 3)):
+        lines.append(draw(st.sampled_from(["p cnf 3 4", "p cnf 9 2", "p cnf 0 0"])))
+    for _ in range(draw(st.integers(0, 12))):
+        kind = draw(st.integers(0, 19))
+        if kind < 14:
+            tokens = draw(st.lists(LITERALS, max_size=6)) + ["0"] * (kind % 4 > 0)
+            seps = draw(st.lists(SEPARATORS, min_size=len(tokens), max_size=len(tokens)))
+            lines.append("".join(map("".join, zip(seps, tokens))))
+        else:
+            lines.append(draw(QUIET_LINES if kind < 19 else RARE_LINES))
+    ends = draw(st.lists(st.sampled_from(["\n", "\n", "\r\n"]), min_size=len(lines),
+                         max_size=len(lines)))
+    text = "".join(map("".join, zip(lines, ends)))
+    if not draw(st.integers(0, 3)):
+        i = draw(st.integers(0, len(text)))
+        text = text[:i] + draw(UNDEFINED) + text[i:]
+    return text if draw(st.booleans()) else text.rstrip("\n")
+
+
+def parsed(text, block_chars):
+    try:
+        with patch.object(dimacs, "BLOCK_CHARS", block_chars):
+            return parse_dimacs(text)
+    except DimacsError as exc:
+        return str(exc)
+
+
+def reference_parsed(text):
+    try:
+        return reference_parse_dimacs(text)
+    except DimacsError as exc:
+        return str(exc)
+
+
+@settings(max_examples=400)
+@given(dimacs_texts())
+@example("p cnf 2 2\n1 -2\n0 2 0\n")  # a clause across lines, so across blocks of 1
+@example("p cnf 1 1\n1 0\n2 0\n3 -4 0\n")  # one warning per literal above the count
+@example("p cnf 2 1\r\n1 2 0\r\n%\r\n+3\n")
+def test_parse_matches_line_by_line_reference(text):
+    want = reference_parsed(text)
+    for block_chars in (1, 2, 7, BLOCK_CHARS):
+        assert parsed(text, block_chars) == want
+
+
+@pytest.mark.parametrize("block_chars", [7, 4096, BLOCK_CHARS])
+def test_parse_large_texts_match_reference(block_chars):
+    text = write_dimacs(complete_minus_one(7))
+    lines = text.split("\n")
+    commented = list(lines)
+    commented[1::50] = [f"{line}\nc {i}" for i, line in enumerate(lines[1::50])]
+    late_error = list(lines)
+    late_error[1500] += " +3"
+    variants = [
+        text,
+        text.replace("p cnf 7", "p cnf 2"),  # warnings past the first block
+        text.replace("\n", "\r\n"),
+        "\n".join(commented),
+        "\n".join(late_error),
+        "p cnf 7 2059\n" + " ".join(lines[1:]),  # one line of data
+    ]
+    for variant in variants:
+        assert parsed(variant, block_chars) == reference_parsed(variant)
 
 
 def test_write_examples():

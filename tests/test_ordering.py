@@ -6,12 +6,11 @@ from unittest.mock import patch
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from conftest import clauses, eliminate_hook, literals, reference_check_sat
+from conftest import clause_key, clauses, eliminate_hook, literals, reference_check_sat
 from fpcsat import solver
 from fpcsat.core import (
     Formula,
     canonical_literals,
-    clause_key,
     effective_clauses,
     elimination_order_key,
     is_tautology,
