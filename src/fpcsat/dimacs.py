@@ -46,24 +46,18 @@ def _check_tokens(line: str, lineno: int) -> None:
 # ``str.strip()`` strips is one of these; ``[^\S\n]`` is that whitespace
 # less the line feed
 _SPECIAL_LINE = re.compile(r"^[^\S\n]*[cp%].*$", re.M)
-# characters of text per block; a block ends at a line feed, so it may hold more
+# characters of text per block, at least; a block ends at a line feed
 BLOCK_CHARS = 1 << 16
 
 
 def _blocks(text: str, size: int) -> Iterator[str]:
-    """The text in pieces of about ``size`` characters that each end at a line
-    feed; the last piece is what follows the last line feed, maybe ``""``."""
-    head: list[str] = []
-    for i in range(0, len(text), size):
-        chunk = text[i:i + size]
-        cut = chunk.rfind("\n") + 1
-        if cut:
-            head.append(chunk[:cut])
-            yield "".join(head)
-            head = [chunk[cut:]]
-        else:
-            head.append(chunk)
-    yield "".join(head)
+    """The text in pieces of at least ``size`` characters, each cut after the
+    first line feed that allows, the last maybe shorter and without one."""
+    start = 0
+    while start < len(text):
+        end = text.find("\n", start + size - 1) + 1 or len(text)
+        yield text[start:end]
+        start = end
 
 
 class _Values(dict):
