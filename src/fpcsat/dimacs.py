@@ -102,10 +102,11 @@ def parse_dimacs(text: str) -> DimacsDocument:
     U+001C-U+001F, which ``int()``, ``str.split()`` or ``str.splitlines()``
     would read, are errors.
 
-    The text goes in blocks of about ``BLOCK_CHARS`` characters.  Comment,
-    header and ``%`` lines are handled one by one; each run of data lines
-    between them is converted in one pass, and walked line by line only if
-    it holds an error or a literal above ``declared_vars``.
+    The text goes in blocks of ``BLOCK_CHARS`` characters or more, each cut
+    after a line feed.  Comment, header and ``%`` lines are handled one by
+    one; each run of data lines between them is converted in one pass, and
+    walked line by line only if it holds an error or a literal above
+    ``declared_vars``.
     """
     declared_vars = declared_clauses = -1
     warnings: list[str] = []
