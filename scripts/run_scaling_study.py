@@ -18,6 +18,7 @@ STUDIES = (
     ("pigeonhole", "2..6", 60_000.0),
     ("random3sat", "8..22", 10_000.0),
     ("complete-minus-one", "2..12", 10_000.0),
+    ("disjoint-pairs", "1..14", 10_000.0),
 )
 
 

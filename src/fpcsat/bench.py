@@ -18,7 +18,6 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 from .core import variables_of
 from .instances import FAMILIES, complete_minus_one, disjoint_pairs, pigeonhole, random_3sat
 from .solver import RESOURCE_EXCEEDED, SolveConfig, check_sat
-from .tree import NODE_BUDGET
 
 # fixed effort-to-time conversion: frontier entries scanned per virtual ms,
 # never recalibrated at runtime: determinism beats clock fidelity here.  The
@@ -86,13 +85,9 @@ def _build_instance(family: str, param: int, seed: int, ratio: float):
 
 
 def _run_task(task) -> BenchRecord:
-    family, param, seed, ratio, timeout_ms, node_budget = task
+    family, param, seed, ratio, timeout_ms = task
     formula = _build_instance(family, param, seed, ratio)
-    cfg = SolveConfig(
-        node_budget=node_budget,
-        work_budget=int(timeout_ms * WORK_PER_MS),
-    )
-    result = check_sat(formula, cfg)
+    result = check_sat(formula, SolveConfig(work_budget=int(timeout_ms * WORK_PER_MS)))
     return BenchRecord(
         family=family,
         n=len(variables_of(formula)),
@@ -113,7 +108,6 @@ def run_family(
     seeds_per_n: int = 1,
     ratio: float = 4.3,
     timeout_ms: float = 10_000.0,
-    node_budget: int = NODE_BUDGET,
     workers: int = 1,
     on_record: Callable[[BenchRecord], None] | None = None,
 ) -> list[BenchRecord]:
@@ -122,9 +116,10 @@ def run_family(
     ``n_values`` are the family parameter: variable count for random3sat and
     complete-minus-one, hole count k for pigeonhole, pair count k for
     disjoint-pairs (the record's ``n`` is always the true variable count).
-    Instance seeds derive deterministically from (seed, parameter,
-    repetition).  Records stream to ``on_record`` in a deterministic order as
-    soon as they finish, so partial runs are usable.
+    Each solve runs under ``SolveConfig``'s default node cap.  Instance seeds
+    derive deterministically from (seed, parameter, repetition).  Records
+    stream to ``on_record`` in a deterministic order as soon as they finish,
+    so partial runs are usable.
     """
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}; choose from {FAMILIES}")
@@ -133,7 +128,7 @@ def run_family(
         reps = seeds_per_n if family == "random3sat" else 1
         for rep in range(reps):
             instance_seed = seed * 1_000_003 + param * 1_009 + rep
-            tasks.append((family, param, instance_seed, ratio, timeout_ms, node_budget))
+            tasks.append((family, param, instance_seed, ratio, timeout_ms))
 
     records: list[BenchRecord] = []
 

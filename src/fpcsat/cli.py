@@ -15,9 +15,9 @@ from math import inf
 
 from .core import EMPTY_CLAUSE, Formula
 from .core import normalize  # noqa: F401  (perfbench/tracer.py wraps cli.normalize)
-from .dimacs import DimacsError, parse_dimacs, write_result
+from .dimacs import parse_dimacs, write_result
 from .instances import FAMILIES
-from .oracle import VariableLimitError, brute_force_sat
+from .oracle import brute_force_sat
 from .solver import SolveConfig, SolveResult, check_sat
 from .tree import NODE_BUDGET, pack
 
@@ -173,7 +173,6 @@ def _cmd_bench(args) -> int:
             seeds_per_n=args.seeds_per_n,
             ratio=args.ratio,
             timeout_ms=args.timeout_ms,
-            node_budget=args.max_nodes,
             workers=args.workers,
             on_record=append,
         )
@@ -241,7 +240,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seeds-per-n", type=int, default=3)
     p.add_argument("--timeout-ms", type=float, default=10_000.0,
                    help="per-instance budget in deterministic effort milliseconds")
-    p.add_argument("--max-nodes", type=int, default=NODE_BUDGET)
     p.add_argument("--workers", type=int, default=1)
     p.add_argument("--out", required=True, help="CSV output path")
     p.set_defaults(func=_cmd_bench)
@@ -258,7 +256,7 @@ def main(argv=None) -> int:
         return 1 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except (DimacsError, VariableLimitError, OSError, ValueError) as exc:
+    except (OSError, ValueError) as exc:  # DimacsError and VariableLimitError are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

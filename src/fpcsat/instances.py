@@ -23,37 +23,6 @@ def random_3sat(n: int, m: int, rng: random.Random) -> Formula:
     return Formula.from_clauses(clauses)
 
 
-def random_formula(
-    rng: random.Random,
-    n: int,
-    m: int,
-    max_len: int = 3,
-    tautology_prob: float = 0.0,
-    empty_clause_prob: float = 0.0,
-    duplicate_prob: float = 0.0,
-) -> Formula:
-    """Small mixed-length corpus generator for cross-checking runs.
-
-    Optional knobs inject tautology clauses, the empty clause, and duplicate
-    clauses so normalization paths get exercised too.
-    """
-    clauses: list[list[int]] = []
-    for _ in range(m):
-        if clauses and rng.random() < duplicate_prob:
-            clauses.append(list(rng.choice(clauses)))
-            continue
-        if rng.random() < empty_clause_prob:
-            clauses.append([])
-            continue
-        size = rng.randint(1, max(1, min(max_len, n)))
-        variables = rng.sample(range(1, n + 1), size)
-        lits = [v if rng.random() < 0.5 else -v for v in variables]
-        if rng.random() < tautology_prob:
-            lits.append(-lits[0])
-        clauses.append(lits)
-    return Formula.from_clauses(clauses)
-
-
 def pigeonhole(k: int) -> Formula:
     """PHP(k+1, k): k+1 pigeons into k holes; unsatisfiable for k >= 1.
 

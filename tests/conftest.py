@@ -11,7 +11,7 @@ from fpcsat.core import (
     literal_key,
     normalize,
 )
-from fpcsat.instances import complete_minus_one, random_formula
+from fpcsat.instances import complete_minus_one
 from fpcsat.solver import RESOURCE_EXCEEDED, SAT, UNSAT
 from fpcsat.tree import BudgetExceeded, FpcTree
 
@@ -48,6 +48,37 @@ def assignments_over(draw, varset_strategy):
         st.fixed_dictionaries({var: st.booleans() for var in sorted(v)})
     )
     return frozenset(v), values
+
+
+def random_formula(
+    rng: random.Random,
+    n: int,
+    m: int,
+    max_len: int = 3,
+    tautology_prob: float = 0.0,
+    empty_clause_prob: float = 0.0,
+    duplicate_prob: float = 0.0,
+) -> Formula:
+    """Small mixed-length corpus generator for cross-checking runs.
+
+    Optional knobs inject tautology clauses, the empty clause, and duplicate
+    clauses so normalization paths get exercised too.
+    """
+    clauses: list[list[int]] = []
+    for _ in range(m):
+        if clauses and rng.random() < duplicate_prob:
+            clauses.append(list(rng.choice(clauses)))
+            continue
+        if rng.random() < empty_clause_prob:
+            clauses.append([])
+            continue
+        size = rng.randint(1, max(1, min(max_len, n)))
+        variables = rng.sample(range(1, n + 1), size)
+        lits = [v if rng.random() < 0.5 else -v for v in variables]
+        if rng.random() < tautology_prob:
+            lits.append(-lits[0])
+        clauses.append(lits)
+    return Formula.from_clauses(clauses)
 
 
 def corpus(seed: int, count: int, n_max: int = 12, m_factor: int = 4,

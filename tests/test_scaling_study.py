@@ -24,7 +24,7 @@ SPEC.loader.exec_module(SCRIPT)
 # the script's defaults for --seed, --seeds-per-n and --ratio
 DEFAULTS = ["--seed", "1", "--seeds-per-n", "5", "--ratio", "4.3"]
 # the last parameter rerun per family: the rest of each range takes minutes
-PREFIX_END = {"pigeonhole": 5, "random3sat": 22, "complete-minus-one": 9}
+PREFIX_END = {"pigeonhole": 5, "random3sat": 22, "complete-minus-one": 9, "disjoint-pairs": 10}
 
 
 @pytest.mark.parametrize("family, n_range, timeout_ms", SCRIPT.STUDIES)
