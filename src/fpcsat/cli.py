@@ -17,12 +17,12 @@ from .core import EMPTY_CLAUSE, Formula
 from .core import normalize  # noqa: F401  (perfbench/tracer.py wraps cli.normalize)
 from .dimacs import parse_dimacs, write_result
 from .instances import FAMILIES
-from .oracle import brute_force_sat
 from .solver import SolveConfig, SolveResult, check_sat
 from .tree import NODE_BUDGET, pack
 
-# bench loads inside bench, cardinality inside stats and preprocess: solve,
-# oracle and verify do not pay for importing them (or statistics and csv)
+# bench loads inside bench, cardinality inside stats and preprocess, the
+# oracle inside oracle and verify: no command pays for importing a module it
+# does not run (or statistics and csv)
 
 EXIT_CODES = {"SAT": 10, "UNSAT": 20, "RESOURCE_EXCEEDED": 30}
 
@@ -69,6 +69,8 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
+    from .oracle import brute_force_sat
+
     f = _read_formula(args.file)
     result = brute_force_sat(f)
     fpcs = result.falsified_fpc_per_model
@@ -82,6 +84,8 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from .oracle import brute_force_sat
+
     f = _read_formula(args.file)
     # the oracle first, so that past its variable limit no solve runs at all
     oracle_result = brute_force_sat(f, collect_models=False)

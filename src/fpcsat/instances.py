@@ -6,7 +6,6 @@ from __future__ import annotations
 import random
 
 from .core import Formula
-from .oracle import complete_formula, power_set
 
 # the families ``bench.run_family`` builds
 FAMILIES = ("random3sat", "pigeonhole", "complete-minus-one", "disjoint-pairs")
@@ -48,6 +47,9 @@ def complete_minus_one(n: int) -> Formula:
     """The complete formula over n variables minus the power set of the
     all-positive fully populated clause {1, ..., n}; satisfiable exactly by the
     all-false assignment, which falsifies that clause.  Has 3^n - 2^n clauses."""
+    # imported here, so that importing the generators does not load the oracle
+    from .oracle import complete_formula, power_set
+
     v = frozenset(range(1, n + 1))
     remaining = complete_formula(v).clauses - power_set(v)
     return Formula(clauses=remaining, original_count=len(remaining))

@@ -3,16 +3,17 @@ satisfiability condition, and complete-formula generation.
 
 Everything here is deliberately independent of the elimination solver so the
 two can cross-check each other.  Truth tables are evaluated as big-integer
-bit columns (one bit per assignment), which keeps exhaustive runs up to the
-variable limits cheap; the condition is checked with plain subset tests
-between FPCs and clauses.
+bit columns (one bit per assignment), in chunks of at most 2^16 assignments
+that share the values of every variable past the lowest 16, so that a
+verdict stops at the first chunk that holds a model; the condition is
+checked with plain subset tests between FPCs and clauses.
 """
 
 from __future__ import annotations
 
 import itertools
 from functools import lru_cache
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 from .core import Clause, Formula, VariableSet, gc_paused, variables_of
 
@@ -41,21 +42,35 @@ def _columns(n: int) -> tuple[int, ...]:
     return tuple(cols)
 
 
-def _truth_column(f: Formula, ordered_vars: list[int]) -> int:
+# a chunk covers the assignments of the lowest CHUNK_VARS variables, so each
+# of its columns is at most 2^16 bits (8 KiB) however many variables there are
+CHUNK_VARS = 16
+
+
+def _model_chunks(f: Formula, ordered_vars: list[int]) -> Iterator[tuple[int, int]]:
+    """(first assignment, model column) of each chunk that holds a model, in
+    ascending order of assignment.  A chunk fixes every variable past the
+    lowest ``w``, so their literals are all-ones or all-zero columns in it."""
     n = len(ordered_vars)
-    full = (1 << (1 << n)) - 1
-    cols = _columns(n)
-    slot = {v: j for j, v in enumerate(ordered_vars)}
-    result = full
-    for c in f.clauses:
-        col = 0
-        for lit in c:
-            vc = cols[slot[abs(lit)]]
-            col |= vc if lit > 0 else (full ^ vc)
-        result &= col
-        if result == 0:
-            break
-    return result
+    w = min(n, CHUNK_VARS)
+    full = (1 << (1 << w)) - 1
+    column = {}
+    for v, col in zip(ordered_vars, _columns(w)):
+        column[v], column[-v] = col, full ^ col
+    for high in range(1 << (n - w)):
+        for j, v in enumerate(ordered_vars[w:]):
+            col = full if (high >> j) & 1 else 0
+            column[v], column[-v] = col, full ^ col
+        result = full
+        for c in f.clauses:
+            col = 0
+            for lit in c:
+                col |= column[lit]
+            result &= col
+            if not result:
+                break
+        else:
+            yield high << w, result
 
 
 class OracleResult(NamedTuple):
@@ -92,21 +107,24 @@ def brute_force_sat(
 ) -> OracleResult:
     """Evaluate ``f`` under all 2^n total assignments over its variables.
 
+    Models come in ascending order of the assignment read as a binary number
+    whose bit j is the value of the j-th smallest variable.
     ``collect_models=False`` skips materializing the (possibly exponential)
-    model list; the verdict is unaffected.
+    model list and stops at the first chunk that holds a model; the verdict
+    is unaffected.
     """
     ordered = sorted(_variables(f, variables))
     _check_limit(len(ordered), limit_vars, "brute_force_sat")
-    column = _truth_column(f, ordered)
+    chunks = _model_chunks(f, ordered)
     if not collect_models:
-        return OracleResult(satisfiable=column != 0, models=())
+        return OracleResult(satisfiable=next(chunks, None) is not None, models=())
     models = []
-    rest = column
-    while rest:
-        low = rest & -rest
-        a = low.bit_length() - 1
-        rest ^= low
-        models.append({v: bool((a >> j) & 1) for j, v in enumerate(ordered)})
+    for base, rest in chunks:
+        while rest:
+            low = rest & -rest
+            a = base + low.bit_length() - 1
+            rest ^= low
+            models.append({v: bool((a >> j) & 1) for j, v in enumerate(ordered)})
     return OracleResult(satisfiable=bool(models), models=tuple(models))
 
 

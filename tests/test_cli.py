@@ -242,12 +242,13 @@ def test_bench_workers_match_serial(tmp_path):
 @pytest.mark.parametrize(
     "module",
     ["multiprocessing", "dataclasses", "inspect", "statistics", "csv",
-     "fpcsat.bench", "fpcsat.cardinality"],
+     "fpcsat.bench", "fpcsat.cardinality", "fpcsat.oracle"],
 )
 def test_cli_import_leaves_out_unused_modules(module):
     # every process pays for what importing the CLI loads: the process pool
     # is for bench --workers N > 1 only, bench (with statistics and csv) for
-    # bench, cardinality for stats and preprocess only
+    # bench, cardinality for stats and preprocess only, the oracle for oracle
+    # and verify (and the complete-minus-one family) only
     proc = subprocess.run(
         [sys.executable, "-c",
          f"import sys, fpcsat.cli; print({module!r} in sys.modules)"],

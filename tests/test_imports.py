@@ -29,6 +29,7 @@ KEPT = {
         ("dimacs", {"core", "tree", "dimacs"}),
         ("solver", {"core", "tree", "solver"}),
         ("cardinality", {"core", "cardinality"}),
+        ("instances", {"core", "instances"}),
     ],
 )
 def test_importing_a_module_loads_only_what_it_imports(module, loaded):

@@ -4,7 +4,8 @@ import random
 
 import pytest
 
-from conftest import corpus
+from conftest import corpus, dpll_satisfiable
+from fpcsat import oracle
 from fpcsat.core import Formula, evaluate_formula, is_tautology, variables_of
 from fpcsat.instances import complete_minus_one, pigeonhole, random_3sat
 from fpcsat.oracle import (
@@ -310,3 +311,27 @@ def test_subsets_of_satisfiable_stay_satisfiable():
             assert brute_force_sat(sub, collect_models=False).satisfiable
             checked += 1
     assert checked > 100
+
+
+@pytest.mark.parametrize("chunk_vars", [0, 1, 3])
+def test_small_chunks_leave_the_oracle_digest_as_it_is(monkeypatch, chunk_vars):
+    # every formula of the digest corpus over more than chunk_vars variables
+    # then spans several chunks
+    monkeypatch.setattr(oracle, "CHUNK_VARS", chunk_vars)
+    assert oracle_digest() == ORACLE_DIGEST
+
+
+@pytest.mark.parametrize("f", [
+    *(pytest.param(random_3sat(n, round(ratio * n), random.Random(n)), id=f"rand3sat-n{n}-r{ratio}")
+      for n in range(17, 21) for ratio in (1.5, 4.3)),
+    pytest.param(pigeonhole(4), id="php5_4"),
+])
+def test_default_chunks_match_one_chunk_and_dpll(monkeypatch, f):
+    n = len(variables_of(f))
+    assert n > oracle.CHUNK_VARS
+    sat = dpll_satisfiable(f)
+    assert brute_force_sat(f, collect_models=False).satisfiable == sat
+    chunked = brute_force_sat(f)
+    assert chunked.satisfiable == sat
+    monkeypatch.setattr(oracle, "CHUNK_VARS", n)
+    assert brute_force_sat(f).models == chunked.models
