@@ -43,12 +43,23 @@ def gc_paused() -> Iterator[None]:
     """Pause the cyclic garbage collector while a block, or each call of a
     function it decorates, runs; it resumes on exit, exceptions included, if
     it ran before.  Clauses hold only ints and form no cycles, so a collection
-    while clause sets are built only rescans them."""
+    while clause sets are built only rescans them.
+
+    On exit the young generations, and so every object the block made, are
+    handed to the oldest generation unscanned (``gc.freeze()`` then
+    ``gc.unfreeze()``, two list splices), so the first young collection
+    after the block does not rescan them; the next full collection still
+    sees them.  The handoff is skipped if objects were frozen on entry, since
+    ``gc.unfreeze()`` would thaw them too."""
     enabled = gc.isenabled()
+    frozen = gc.get_freeze_count()
     gc.disable()
     try:
         yield
     finally:
+        if not frozen:
+            gc.freeze()
+            gc.unfreeze()
         if enabled:
             gc.enable()
 

@@ -310,6 +310,44 @@ def test_parse_large_texts_match_reference(block_chars):
         assert parsed(variant, block_chars) == reference_parsed(variant)
 
 
+# a spelling of the literal 1 (or a blank, for U+001C-U+001F) for each
+# character that ``int()`` or ``str.split()`` reads and DIMACS does not
+# define; U+0661 is the Arabic-Indic one
+RUN_UNDEFINED = {
+    "+": "+1", "_": "0_1", "\u0661": "\u0661",
+    "\x1c": "\x1c1", "\x1d": "1\x1d", "\x1e": "1\x1e", "\x1f": "\x1f1",
+}
+
+
+@pytest.mark.parametrize("char", RUN_UNDEFINED)
+def test_fast_path_rejects_each_undefined_character_as_the_reference_does(char):
+    lines = write_dimacs(complete_minus_one(6)).split("\n")
+    for i, block_chars in ((3, BLOCK_CHARS), (600, 64)):  # the header's block, a later one
+        variant = list(lines)
+        variant[i] = f"{RUN_UNDEFINED[char]} {variant[i]}"
+        text = "\n".join(variant)
+        want = reference_parsed(text)
+        assert want.startswith(f"line {i + 1}: non-integer token ")
+        assert parsed(text, block_chars) == want
+
+
+@pytest.mark.parametrize("block_chars", [64, 4096])
+def test_special_lines_in_later_blocks_match_reference(block_chars):
+    lines = write_dimacs(complete_minus_one(6)).split("\n")
+    commented = ["c complete_minus_one(6), with p and % in a comment"] + lines
+    # a block past the header's holds no c, p or %, and so skips the regex scan
+    assert not {"c", "p", "%"} & set(list(dimacs._blocks("\n".join(commented), block_chars))[1])
+    variants = [
+        commented,
+        # each line the only c, p or % in its block
+        lines[:400] + ["c a comment in a later block", "\tc"] + lines[400:],
+        lines[:400] + [" %", "+3 junk"] + lines[400:],
+        lines[:400] + ["p dnf 6 1"] + lines[400:],  # duplicate header
+    ]
+    for variant in map("\n".join, variants):
+        assert parsed(variant, block_chars) == reference_parsed(variant)
+
+
 def test_write_examples():
     assert write_dimacs(Formula.from_clauses([[1]])) == "p cnf 1 1\n1 0\n"
     assert write_dimacs(Formula.from_clauses([])) == "p cnf 0 0\n"
