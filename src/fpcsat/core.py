@@ -4,14 +4,15 @@ Literals are nonzero ints in the DIMACS convention: ``v`` is the positive
 literal of variable ``v`` (v >= 1), ``-v`` its negation.  A clause is a
 frozenset of literals (disjunction; the empty clause is always false) and a
 formula is a deduplicated frozenset of clauses (conjunction; the empty
-formula is always true).
+formula is always true).  Large clause sets are ``Clauses``, which iterate
+in build order; no result may depend on the order a clause set iterates in.
 """
 
 from __future__ import annotations
 
 import gc
 from contextlib import contextmanager
-from itertools import chain
+from itertools import filterfalse
 from operator import neg
 from typing import Iterable, Iterator, Mapping, NamedTuple
 
@@ -92,6 +93,32 @@ def elimination_order_key(c: Clause) -> tuple[int, int, tuple[int, ...]]:
     return (len(keys), keys[-1] >> 1 if keys else 0, keys)
 
 
+class Clauses(frozenset):
+    """A frozenset of clauses that iterates in the order of first occurrence
+    in its input; equality, hashing and set operations, which return plain
+    frozensets, are a frozenset's.
+
+    Passes over a large clause set then read its clauses in the order they
+    were allocated, mostly in sequence in memory, not in hash order, which
+    jumps at random through them."""
+
+    __slots__ = ("_order",)
+
+    def __new__(cls, clauses: Iterable[Clause] = ()) -> "Clauses":
+        order = tuple(clauses)
+        self = super().__new__(cls, order)
+        # only an input with duplicates pays for the dict that drops them
+        self._order = order if len(self) == len(order) else tuple(dict.fromkeys(order))
+        return self
+
+    def __iter__(self) -> Iterator[Clause]:
+        return iter(self._order)
+
+    def __reduce__(self):
+        # frozenset's own __reduce__ drops the slot on CPython 3.10
+        return type(self), (self._order,)
+
+
 class Formula(NamedTuple):
     """A CNF formula with set semantics; immutable, equal and hashed by value.
 
@@ -104,6 +131,7 @@ class Formula(NamedTuple):
 
     @staticmethod
     def from_clauses(cs: Iterable[Iterable[int]]) -> "Formula":
+        """A formula with a plain frozenset of clauses, for small formulas."""
         seen = [clause(c) for c in cs]
         return Formula(clauses=frozenset(seen), original_count=len(seen))
 
@@ -115,7 +143,8 @@ def is_tautology(c: Clause) -> bool:
 
 def variables_of(f: Formula) -> VariableSet:
     """The minimal variable set the formula ranges over (occurring variables)."""
-    return frozenset(map(abs, chain.from_iterable(f.clauses)))
+    # the union of the clauses' tables, in C, then abs of each distinct literal
+    return frozenset(map(abs, set().union(*f.clauses)))
 
 
 def evaluate_clause(c: Clause, a: Assignment) -> bool:
@@ -161,8 +190,10 @@ def normalize(f: Formula) -> NormalizeReport:
     """Report the structural facts of a formula (already deduplicated by
     Formula): the duplicates dropped, the tautology clauses, which callers
     skip, and the presence of the empty clause, which decides everything.
+    The tautologies come by their canonical literals, whatever order the
+    clause set iterates in.
     """
-    tautologies = tuple(filter(is_tautology, f.clauses))
+    tautologies = tuple(sorted(filter(is_tautology, f.clauses), key=canonical_literals))
     return NormalizeReport(
         duplicates_removed=f.original_count - len(f.clauses),
         tautologies=tautologies,
@@ -172,5 +203,6 @@ def normalize(f: Formula) -> NormalizeReport:
 
 def effective_clauses(f: Formula, tautologies: Iterable[Clause]) -> list[Clause]:
     """The clauses of ``f`` other than ``tautologies`` (``normalize`` lists
-    them), unordered; callers sort them once."""
-    return list(f.clauses.difference(tautologies))
+    them), in the order ``f.clauses`` iterates in; callers sort them once."""
+    skip = frozenset(tautologies)
+    return list(filterfalse(skip.__contains__, f.clauses)) if skip else list(f.clauses)

@@ -6,7 +6,7 @@ import re
 from itertools import repeat
 from typing import Iterator, NamedTuple
 
-from .core import Clause, Formula, gc_paused, literal_key
+from .core import Clause, Clauses, Formula, gc_paused, literal_key
 from .tree import sign_bits
 
 
@@ -22,7 +22,8 @@ class DimacsDocument(NamedTuple):
 
     @gc_paused()
     def to_formula(self) -> Formula:
-        return Formula(clauses=frozenset(self.clauses), original_count=len(self.clauses))
+        """The clauses as a formula whose clause set iterates in file order."""
+        return Formula(clauses=Clauses(self.clauses), original_count=len(self.clauses))
 
 
 # what int() or str.split() accept but DIMACS does not define: a "+" sign

@@ -4,8 +4,9 @@ complete-formula-minus-one-power-set family, and disjoint pairs."""
 from __future__ import annotations
 
 import random
+from itertools import filterfalse
 
-from .core import Formula
+from .core import Clauses, Formula
 
 # the families ``bench.run_family`` builds
 FAMILIES = ("random3sat", "pigeonhole", "complete-minus-one", "disjoint-pairs")
@@ -46,12 +47,13 @@ def pigeonhole(k: int) -> Formula:
 def complete_minus_one(n: int) -> Formula:
     """The complete formula over n variables minus the power set of the
     all-positive fully populated clause {1, ..., n}; satisfiable exactly by the
-    all-false assignment, which falsifies that clause.  Has 3^n - 2^n clauses."""
+    all-false assignment, which falsifies that clause.  Has 3^n - 2^n clauses,
+    which iterate in the complete formula's build order."""
     # imported here, so that importing the generators does not load the oracle
-    from .oracle import complete_formula, power_set
+    from .oracle import complete_clauses, power_set
 
     v = frozenset(range(1, n + 1))
-    remaining = complete_formula(v).clauses - power_set(v)
+    remaining = Clauses(filterfalse(power_set(v).__contains__, complete_clauses(v)))
     return Formula(clauses=remaining, original_count=len(remaining))
 
 

@@ -15,7 +15,7 @@ import itertools
 from functools import lru_cache
 from typing import Iterator, NamedTuple
 
-from .core import Clause, Formula, VariableSet, gc_paused, variables_of
+from .core import Clause, Clauses, Formula, VariableSet, gc_paused, variables_of
 
 
 class VariableLimitError(ValueError):
@@ -161,13 +161,20 @@ def condition_check(f: Formula, variables: VariableSet | None = None) -> list[Cl
 
 
 @gc_paused()
-def complete_formula(v: VariableSet) -> Formula:
-    """All 3^n non-tautology clauses over ``v``, the empty clause included:
-    each variable in turn adds either literal, or neither, to every clause."""
+def complete_clauses(v: VariableSet) -> list[Clause]:
+    """All 3^n non-tautology clauses over ``v``, the empty clause included,
+    in build order: each variable in turn adds either literal, or neither,
+    to every clause."""
     ordered = sorted(v)
     _check_limit(len(ordered), 12, "complete_formula")
     clauses: list[Clause] = [frozenset()]
     for var in ordered:
         pos, neg = frozenset([var]), frozenset([-var])
         clauses += [*map(pos.__or__, clauses), *map(neg.__or__, clauses)]
-    return Formula(clauses=frozenset(clauses), original_count=len(clauses))
+    return clauses
+
+
+def complete_formula(v: VariableSet) -> Formula:
+    """The formula of ``complete_clauses(v)``, iterating in their build order."""
+    clauses = complete_clauses(v)
+    return Formula(clauses=Clauses(clauses), original_count=len(clauses))
