@@ -79,9 +79,7 @@ def _build_instance(family: str, param: int, seed: int, ratio: float):
         return pigeonhole(param)
     if family == "complete-minus-one":
         return complete_minus_one(param)
-    if family == "disjoint-pairs":
-        return disjoint_pairs(param)
-    raise ValueError(f"unknown family {family!r}")
+    return disjoint_pairs(param)  # run_family has rejected every other name
 
 
 def _run_task(task) -> BenchRecord:

@@ -77,10 +77,6 @@ def canonical_literals(c: Clause) -> tuple[Literal, ...]:
     return tuple(sorted(sorted(c, reverse=True), key=abs))
 
 
-def _literal_keys(c: Clause) -> tuple[int, ...]:
-    return tuple(sorted(map(literal_key, c)))
-
-
 def elimination_order_key(c: Clause) -> tuple[int, int, tuple[int, ...]]:
     """Clause processing order for the solver: ascending cardinality, then by
     the clause's largest variable, then lexicographic.
@@ -89,7 +85,7 @@ def elimination_order_key(c: Clause) -> tuple[int, int, tuple[int, ...]]:
     last variable registers; deferring a clause past the registration of
     unrelated variables doubles, per variable, the FPCs it has yet to drop.
     """
-    keys = _literal_keys(c)
+    keys = tuple(sorted(map(literal_key, c)))
     return (len(keys), keys[-1] >> 1 if keys else 0, keys)
 
 
@@ -182,27 +178,23 @@ def are_siblings(a: Clause, b: Clause, v: VariableSet) -> bool:
 
 class NormalizeReport(NamedTuple):
     duplicates_removed: int
-    tautologies: tuple[Clause, ...]
     has_empty_clause: bool
 
 
 def normalize(f: Formula) -> NormalizeReport:
     """Report the structural facts of a formula (already deduplicated by
-    Formula): the duplicates dropped, the tautology clauses, which callers
-    skip, and the presence of the empty clause, which decides everything.
-    The tautologies come by their canonical literals, whatever order the
-    clause set iterates in.
+    Formula): the duplicates dropped and the presence of the empty clause,
+    which decides everything.  ``effective_clauses`` drops the tautologies.
     """
-    tautologies = tuple(sorted(filter(is_tautology, f.clauses), key=canonical_literals))
     return NormalizeReport(
         duplicates_removed=f.original_count - len(f.clauses),
-        tautologies=tautologies,
         has_empty_clause=EMPTY_CLAUSE in f.clauses,
     )
 
 
-def effective_clauses(f: Formula, tautologies: Iterable[Clause]) -> list[Clause]:
-    """The clauses of ``f`` other than ``tautologies`` (``normalize`` lists
-    them), in the order ``f.clauses`` iterates in; callers sort them once."""
-    skip = frozenset(tautologies)
-    return list(filterfalse(skip.__contains__, f.clauses)) if skip else list(f.clauses)
+def effective_clauses(f: Formula) -> list[Clause]:
+    """The non-tautology clauses of ``f``, in the order ``f.clauses``
+    iterates in; callers sort them once.  A tautology is a subset of no
+    fully populated clause, so it eliminates nothing, and this is the one
+    place a solve drops it."""
+    return list(filterfalse(is_tautology, f.clauses))

@@ -21,7 +21,6 @@ from .core import (
     canonical_literals,
     effective_clauses,
     elimination_order_key,
-    is_tautology,
     normalize,
 )
 from .tree import NODE_BUDGET, BudgetExceeded, FpcTree, decode_fpcs
@@ -71,9 +70,7 @@ class SolveResult(NamedTuple):
 
 
 def model_from_fpc(c: Clause) -> dict[int, bool]:
-    """The assignment that makes every literal of the clause false."""
-    if is_tautology(c):
-        raise ValueError("a tautology clause has no falsifying assignment")
+    """The assignment that makes every literal of a non-tautology clause false."""
     return {abs(lit): lit < 0 for lit in c}
 
 
@@ -85,7 +82,7 @@ def check_sat(f: Formula, cfg: SolveConfig = SolveConfig()) -> SolveResult:
     verdict, exceeded, skipped = UNSAT, None, 0
     if not report.has_empty_clause:
         verdict = SAT
-        clauses = effective_clauses(f, report.tautologies)
+        clauses = effective_clauses(f)
         skipped = len(f.clauses) - len(clauses)
         # the paper's cardinality-first order, each class ordered once the
         # solve reaches it; or a deterministic cardinality-blind one, one class

@@ -58,10 +58,6 @@ class BudgetExceeded(Exception):
         self.kind = kind
 
 
-class DuplicateVariableError(ValueError):
-    pass
-
-
 def sign_bits(order: list[int]) -> list[tuple[int, int]]:
     """Each variable of ``order`` with the entry bit that holds its sign."""
     k = len(order)
@@ -114,11 +110,10 @@ class FpcTree:
         self.work = work
 
     def register_variable(self, var: int) -> None:
-        """Extend every surviving FPC by both literals of ``var``; an empty
-        frontier stays empty.  Raises ``BudgetExceeded("nodes")`` when the
-        doubled frontier would overflow the node budget."""
-        if var in self.literals:
-            raise DuplicateVariableError(f"variable {var} already registered")
+        """Extend every surviving FPC by both literals of ``var``, which has
+        not registered yet; an empty frontier stays empty.  Raises
+        ``BudgetExceeded("nodes")`` when the doubled frontier would overflow
+        the node budget."""
         frontier = self.frontier
         if 2 * len(frontier) > self.node_budget:
             raise BudgetExceeded("nodes")
@@ -133,10 +128,11 @@ class FpcTree:
         self.peak_nodes = max(self.peak_nodes, len(doubled))
 
     def eliminate(self, clauses: Iterable[Clause]) -> None:
-        """Apply ``clauses`` in order, each dropping every surviving FPC it is
-        a subset of, and stop at the clause that closes the frontier.  A
-        clause over new variables ends the pending pass, then registers them
-        in ascending order; a budget tripped there leaves the clause unapplied.
+        """Apply ``clauses``, none of them a tautology, in order, each
+        dropping every surviving FPC it is a subset of, and stop at the
+        clause that closes the frontier.  A clause over new variables ends
+        the pending pass, then registers them in ascending order; a budget
+        tripped there leaves the clause unapplied.
 
         Consecutive clauses share one pass while their forbidden sign
         patterns over the union of their variables number no more than the
@@ -144,10 +140,8 @@ class FpcTree:
         patterns costs no more than the pass they save.  Every pass is one
         filter (``_pass``), which also names the closing clause.  The
         frontier, ``eliminations`` and ``applied`` end as they would clause
-        by clause.  A tautology clause is a subset of no FPC: it registers
-        its new variables and drops nothing.  The empty clause is a subset
-        of every FPC and closes the frontier.  A closed frontier applies
-        nothing.
+        by clause.  The empty clause is a subset of every FPC and closes the
+        frontier.  A closed frontier applies nothing.
         """
         cap = len(self.frontier)
         if not cap:
@@ -171,26 +165,23 @@ class FpcTree:
             varmask = posmask = 0
             for lit in c:
                 bit = bits[abs(lit)]
-                if varmask & bit:
-                    break  # tautology clause: no FPC holds both polarities
                 varmask |= bit
                 if lit > 0:
                     posmask |= bit
-            else:
-                if pending:
-                    if size < cap:
-                        grown = (size << (varmask & ~union).bit_count()) + (
-                            1 << (union & ~varmask).bit_count()
-                        )
-                        if grown <= cap:  # the clause joins the pending pass
-                            union |= varmask
-                            size = grown
-                            pending.append((applied, varmask, posmask))
-                            continue
-                    if self._pass(union, pending, applied - 1):
-                        return
-                    cap = len(self.frontier)
-                union, size, pending = varmask, 1, [(applied, varmask, posmask)]
+            if pending:
+                if size < cap:
+                    grown = (size << (varmask & ~union).bit_count()) + (
+                        1 << (union & ~varmask).bit_count()
+                    )
+                    if grown <= cap:  # the clause joins the pending pass
+                        union |= varmask
+                        size = grown
+                        pending.append((applied, varmask, posmask))
+                        continue
+                if self._pass(union, pending, applied - 1):
+                    return
+                cap = len(self.frontier)
+            union, size, pending = varmask, 1, [(applied, varmask, posmask)]
         if pending and self._pass(union, pending, applied):
             return
         self.applied = applied

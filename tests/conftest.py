@@ -31,6 +31,13 @@ def clauses(max_var: int = 8, max_size: int = 5):
     return st.frozensets(literals(max_var), max_size=max_size)
 
 
+def non_tautologies(max_var: int = 8, max_size: int = 5):
+    """Clauses with each variable in one polarity: ``FpcTree``'s input."""
+    return st.dictionaries(st.integers(1, max_var), st.booleans(), max_size=max_size).map(
+        lambda signs: frozenset(-v if neg else v for v, neg in signs.items())
+    )
+
+
 def variable_sets(max_var: int = 8, min_size: int = 0, max_size: int = 6):
     return st.frozensets(st.integers(1, max_var), min_size=min_size, max_size=max_size)
 
@@ -128,7 +135,7 @@ def reference_check_sat(f, cfg):
     tree = FpcTree(node_budget=cfg.node_budget, work_limit=cfg.work_budget)
     if report.has_empty_clause:
         return UNSAT, [], [], 0, 0, 0, 0
-    clauses = effective_clauses(f, report.tautologies)
+    clauses = effective_clauses(f)
     clauses.sort(key=elimination_order_key if cfg.sort_clauses else canonical_literals)
     verdict, processed = SAT, 0
     try:

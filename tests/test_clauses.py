@@ -5,7 +5,7 @@ the file also runs without pytest: ``python tests/test_clauses.py``."""
 import copy
 import pickle
 
-from fpcsat.core import Clauses, effective_clauses, normalize, variables_of
+from fpcsat.core import Clauses, effective_clauses, variables_of
 from fpcsat.dimacs import parse_dimacs
 from fpcsat.instances import complete_minus_one
 from fpcsat.oracle import complete_formula, power_set
@@ -87,8 +87,7 @@ def test_complete_minus_one_keeps_the_complete_formulas_order():
 
 def test_effective_clauses_keep_the_formulas_order():
     f = parse_dimacs("p cnf 3 4\n-2 3 0\n2 -2 0\n1 0\n0\n").to_formula()
-    assert effective_clauses(f, normalize(f).tautologies) == [B, A, C]
-    assert effective_clauses(f, ()) == [B, D, A, C]
+    assert effective_clauses(f) == [B, A, C]
 
 
 def test_variables_of_over_clauses():

@@ -117,11 +117,9 @@ def test_formula_is_an_immutable_value():
 def test_normalize_reports():
     report = normalize(Formula.from_clauses([[1], [1]]))
     assert report.duplicates_removed == 1
-    assert not report.tautologies
     assert not report.has_empty_clause
 
     report = normalize(Formula.from_clauses([[1, -1], [2]]))
-    assert report.tautologies == (fs(1, -1),)
     assert not report.has_empty_clause
 
     report = normalize(Formula.from_clauses([[], [1]]))

@@ -11,7 +11,7 @@ import pytest
 
 from conftest import corpus, eliminate_hook
 from fpcsat.bench import EXPONENTIAL, fit_growth, run_family
-from fpcsat.core import EMPTY_CLAUSE, Formula, effective_clauses, normalize, variables_of
+from fpcsat.core import EMPTY_CLAUSE, Formula, effective_clauses, variables_of
 from fpcsat.instances import disjoint_pairs
 from fpcsat.oracle import brute_force_sat
 from fpcsat.solver import SAT, SolveConfig, check_sat
@@ -71,7 +71,7 @@ def test_all_models_lists_every_model_over_the_effective_variables(params, sort_
         if result.verdict != SAT:
             continue
         seen_sat += 1
-        clauses = effective_clauses(f, normalize(f).tautologies)
+        clauses = effective_clauses(f)
         effective = variables_of(Formula(frozenset(clauses), 0))
         assert sorted(result.order) == sorted(effective)
         assert len(result.entries) == model_count(clauses, effective)

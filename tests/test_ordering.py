@@ -97,7 +97,7 @@ def test_check_sat_processes_clauses_in_reference_order(cs):
         assert (s.peak_nodes, s.eliminations, s.clauses_processed) == (peak, eliminations, processed)
         assert s.work <= work  # below it where a pass shares clauses
         # handed every clause in the full order, check_sat scans as much
-        presorted = lambda f, tautologies: sorted(effective_clauses(f, tautologies), key=key)
+        presorted = lambda f: sorted(effective_clauses(f), key=key)
         with patch.object(solver, "effective_clauses", presorted):
             full = check_sat(f, cfg)
         assert full[:3] == result[:3]

@@ -13,7 +13,7 @@ from conftest import (
     unit_pinned,
 )
 from fpcsat import solver
-from fpcsat.core import Formula, evaluate_formula, variables_of
+from fpcsat.core import Formula, evaluate_formula, is_tautology, variables_of
 from fpcsat.instances import complete_minus_one, pigeonhole, random_3sat
 from fpcsat.oracle import brute_force_sat, condition_check, enumerate_fpcs
 from fpcsat.solver import (
@@ -25,6 +25,7 @@ from fpcsat.solver import (
     model_from_fpc,
 )
 from fpcsat.tree import BudgetExceeded, FpcTree
+from test_solve_digest import CONFIGS
 
 
 def fs(*lits):
@@ -77,8 +78,6 @@ def test_model_from_fpc():
     assert model_from_fpc(fs(1, 2)) == {1: False, 2: False}
     assert model_from_fpc(fs(-3, 1, 2)) == {1: False, 2: False, 3: True}
     assert model_from_fpc(frozenset()) == {}
-    with pytest.raises(ValueError):
-        model_from_fpc(fs(1, -1))
 
 
 def test_sat_iff_absent_fpcs():
@@ -132,6 +131,27 @@ def test_tautologies_never_affect_verdict():
         with_taut = check_sat(noisy, SolveConfig(report_all_models=True))
         assert with_taut.verdict == base.verdict
         assert with_taut.absent_fpcs == base.absent_fpcs
+
+
+def test_the_frontier_takes_no_tautology_and_registers_each_variable_once():
+    # effective_clauses is the one place a solve drops tautologies; neither
+    # FpcTree.eliminate nor register_variable checks its input
+    formulas = list(corpus(seed=26, count=120, n_max=10, m_factor=4,
+                           tautology_prob=0.2, duplicate_prob=0.2))
+    assert sum(map(is_tautology, (c for f in formulas for c in f.clauses))) > 100
+    taken = []
+
+    def take(tree, c):
+        assert not is_tautology(c), c
+        taken.append(c)
+
+    with eliminate_hook(take):
+        for f in formulas:
+            for cfg in CONFIGS:
+                result = check_sat(f, cfg)
+                if result.verdict == SAT:
+                    assert len(set(result.order)) == len(result.order)
+    assert taken
 
 
 def test_config_toggles_never_change_verdict():

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import clauses, corpus
+from conftest import corpus, non_tautologies
 from fpcsat.core import effective_clauses, normalize, variables_of
 from fpcsat.oracle import condition_check
 from fpcsat.instances import complete_minus_one, pigeonhole
@@ -14,7 +14,6 @@ from fpcsat.solver import SAT, SolveConfig, SolveResult, check_sat
 from fpcsat.tree import (
     NODE_BUDGET,
     BudgetExceeded,
-    DuplicateVariableError,
     FpcTree,
     decode_fpcs,
     pack,
@@ -46,13 +45,6 @@ def test_register_doubles_open_pointers():
     # bit k-1-i is the sign of the i-th registered variable, 1 = positive
     assert t.frontier == [0b00, 0b01, 0b10, 0b11]
     assert t.open_fpcs() == [fs(-1, -2), fs(-1, 2), fs(1, -2), fs(1, 2)]
-
-
-def test_register_duplicate_raises():
-    t = FpcTree()
-    t.register_variable(1)
-    with pytest.raises(DuplicateVariableError):
-        t.register_variable(1)
 
 
 def test_register_on_closed_tree():
@@ -97,10 +89,6 @@ def test_eliminate_unregistered_variable():
     t.eliminate([fs(2)])
     assert t.insertion_order == [1, 2]
     assert t.frontier == [0b00, 0b10]
-    # a tautology over a new variable registers it and then drops nothing
-    t.eliminate([fs(3, -3)])
-    assert t.insertion_order == [1, 2, 3]
-    assert (t.frontier, t.applied, t.eliminations) == ([0b000, 0b001, 0b100, 0b101], 2, 2)
 
 
 def by_hand(run, node_budget=NODE_BUDGET):
@@ -127,7 +115,7 @@ def full_state(t):
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.lists(clauses(6, 4), max_size=14))
+@given(st.lists(non_tautologies(6, 4), max_size=14))
 def test_eliminate_registers_as_explicit_calls_do(run):
     t = FpcTree()
     t.eliminate(run)
@@ -146,13 +134,13 @@ def test_eliminate_registers_between_passes():
 
 def test_node_budget_trips_at_a_registration_inside_eliminate():
     # {1, 2} registers x1, x2 (4 entries) and its pass drops 0b11 when {3}
-    # arrives; the tautology takes no pass; x3 would double 3 entries past 4
-    run = [fs(1, 2), fs(2, -2), fs(3), fs(-1)]
+    # arrives; x3 would double 3 entries past 4
+    run = [fs(1, 2), fs(3), fs(-1)]
     t = FpcTree(node_budget=4)
     with pytest.raises(BudgetExceeded) as exc:
         t.eliminate(run)
     assert exc.value.kind == "nodes"
-    assert full_state(t) == ([0b00, 0b01, 0b10], [1, 2], 1 + 2 + 4, 2, 1, 4)
+    assert full_state(t) == ([0b00, 0b01, 0b10], [1, 2], 1 + 2 + 4, 1, 1, 4)
     with pytest.raises(BudgetExceeded):
         by_hand(run, node_budget=4)
 
@@ -160,7 +148,6 @@ def test_node_budget_trips_at_a_registration_inside_eliminate():
 def test_eliminate_both_polarities_closes():
     t = FpcTree()
     t.register_variable(1)
-    t.eliminate([fs(1, -1)])  # a tautology is a subset of no FPC
     assert t.open_fpcs() == [fs(-1), fs(1)]
     t.eliminate([fs(1)])
     assert t.frontier == [0b0]
@@ -221,13 +208,7 @@ def test_eliminate_is_idempotent():
 
 @settings(max_examples=200, deadline=None)
 @given(
-    st.lists(
-        st.frozensets(
-            st.builds(lambda v, neg: -v if neg else v, st.integers(1, 5), st.booleans()),
-            max_size=4,
-        ),
-        max_size=6,
-    ),
+    st.lists(non_tautologies(5, 4), max_size=6),
     st.randoms(use_true_random=False),
 )
 def test_elimination_order_independent(clause_list, rng):
@@ -260,12 +241,12 @@ def built(order, prefix):
 def frontiers_and_runs(draw):
     """A registration order, clauses applied one at a time between its
     registrations, and a run of clauses over the registered variables
-    (tautologies and closing clauses among them).  In some runs, unit
+    (closing clauses among them).  In some runs, unit
     clauses cut the frontier down to one drawn survivor mid-run; the last
     item is the number of clauses that leaves the survivor alone, or None."""
     order = draw(st.permutations(range(1, draw(st.integers(1, 6)) + 1)))
-    prefix = [draw(st.lists(clauses(var, 3).filter(bool), max_size=3)) for var in order]
-    run = draw(st.lists(clauses(len(order), 4), max_size=12))
+    prefix = [draw(st.lists(non_tautologies(var, 3).filter(bool), max_size=3)) for var in order]
+    run = draw(st.lists(non_tautologies(len(order), 4), max_size=12))
     fpcs = built(order, prefix).open_fpcs()
     if not fpcs or not draw(st.booleans()):
         return order, prefix, run, None
@@ -274,7 +255,7 @@ def frontiers_and_runs(draw):
     cut = draw(st.permutations([frozenset([-lit]) for lit in survivor]))
     at = draw(st.integers(0, len(run)))
     before = [c for c in run[:at] if not c <= survivor]
-    after = draw(st.lists(clauses(len(order), 4), min_size=1, max_size=6))
+    after = draw(st.lists(non_tautologies(len(order), 4), min_size=1, max_size=6))
     return order, prefix, before + cut + after, len(before) + len(cut)
 
 
@@ -300,11 +281,11 @@ def test_eliminate_run_stops_at_the_closing_clause():
     for var in (1, 2):
         t.register_variable(var)
     # {-1} and {1} share one pass (2 patterns over x1, 4 entries); {1} closes
-    t.eliminate([fs(-1), fs(1, -1), fs(1), fs(2), fs(-2)])
+    t.eliminate([fs(-1), fs(1), fs(2), fs(-2)])
     assert t.frontier == []
-    assert (t.applied, t.eliminations, t.work) == (3, 4, 1 + 2 + 4)
+    assert (t.applied, t.eliminations, t.work) == (2, 4, 1 + 2 + 4)
     t.eliminate([fs(2)])  # a closed frontier applies nothing
-    assert t.applied == 3
+    assert t.applied == 2
 
 
 @pytest.mark.parametrize(
@@ -315,10 +296,8 @@ def test_eliminate_run_stops_at_the_closing_clause():
         # {1, 2} and {1} both forbid x1 = x2 = 1, the last entries to go:
         # the earlier clause, {1, 2}, closes the frontier
         ([fs(-1), fs(1, -2), fs(1, 2), fs(1), fs(3)], 3),
-        # the tautology {2, -2} between {-1} and the closing {1} is applied
-        ([fs(-1), fs(2, -2), fs(1), fs(3)], 3),
     ],
-    ids=["closing-clause-mid-pass", "shared-pattern", "tautology"],
+    ids=["closing-clause-mid-pass", "shared-pattern"],
 )
 def test_closing_pass_ends_at_its_closing_clause(run, applied):
     t = FpcTree()
@@ -421,16 +400,13 @@ def test_check_sat_calls_eliminate_once_per_solve(monkeypatch):
             assert len(calls) == reaches, (result.verdict, result.stats)
 
 
-def test_one_entry_tautology_and_empty_clause():
+def test_one_entry_empty_clause():
     t = one_entry()
-    # a tautology is a subset of no FPC: applied, it takes no pass
-    t.eliminate([fs(1, -1)])
-    assert (t.frontier, t.applied, t.work, t.eliminations) == ([0b11], 3, 7, 3)
     # the empty clause is a subset of every FPC
     t.eliminate([frozenset(), fs(1)])
-    assert (t.frontier, t.applied, t.work, t.eliminations) == ([], 4, 8, 4)
+    assert (t.frontier, t.applied, t.work, t.eliminations) == ([], 3, 8, 4)
     t.eliminate([fs(1, 2)])  # a closed frontier applies nothing
-    assert (t.applied, t.work) == (4, 8)
+    assert (t.applied, t.work) == (3, 8)
     # before any variable registers, the one entry spells the empty FPC
     t = FpcTree()
     t.eliminate([frozenset()])
@@ -442,7 +418,7 @@ def test_open_fpcs_matches_condition_check_n12():
         t = FpcTree()
         for var in sorted(variables_of(f)):
             t.register_variable(var)
-        for c in effective_clauses(f, normalize(f).tautologies):
+        for c in effective_clauses(f):
             t.eliminate([c])
         assert set(t.open_fpcs()) == set(condition_check(f))
 
@@ -454,7 +430,7 @@ def test_open_fpcs_matches_condition_check():
         t = FpcTree()
         for var in variables:
             t.register_variable(var)
-        for c in effective_clauses(f, normalize(f).tautologies):
+        for c in effective_clauses(f):
             t.eliminate([c])
         survivors = set(t.open_fpcs())
         expected = set(condition_check(f))
