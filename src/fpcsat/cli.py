@@ -13,8 +13,7 @@ import sys
 import time
 from math import inf
 
-from .core import EMPTY_CLAUSE, Formula
-from .core import normalize  # noqa: F401  (perfbench/tracer.py wraps cli.normalize)
+from .core import Formula, normalize
 from .dimacs import parse_dimacs, write_result
 from .instances import FAMILIES
 from .solver import SolveConfig, SolveResult, check_sat
@@ -52,7 +51,7 @@ def _cmd_solve(args) -> int:
     cfg = SolveConfig(
         node_budget=args.max_nodes,
         report_all_models=args.all_models,
-        sort_clauses=not args.no_sort,
+        order=args.order,
     )
     result = check_sat(f, cfg)
     _print_result(result)
@@ -102,13 +101,13 @@ def _cmd_stats(args) -> int:
     from . import cardinality
 
     f = _read_formula(args.file)
-    prof = cardinality.profile(f)
+    prof, report = cardinality.profile(f), normalize(f)
     print(f"clauses={prof.total}")
     print(f"effective_clauses={prof.n_effective}")
     print(f"variables={prof.n}")
-    print(f"duplicates_removed={f.original_count - prof.total}")
+    print(f"duplicates_removed={report.duplicates_removed}")
     print(f"tautology_clauses={prof.total - prof.n_effective}")
-    print(f"has_empty_clause={str(EMPTY_CLAUSE in f.clauses).lower()}")
+    print(f"has_empty_clause={str(report.has_empty_clause).lower()}")
     for var in sorted(prof.per_variable):
         counts = prof.per_variable[var]
         print(f"var:{var} n_pos={counts.n_pos}")
@@ -214,7 +213,8 @@ def build_parser() -> argparse.ArgumentParser:
                         " (default 2^24)")
     p.add_argument("--all-models", action="store_true",
                    help="print one model per surviving fully populated clause")
-    p.add_argument("--no-sort", action="store_true",
+    p.add_argument("--no-sort", dest="order", action="store_const", const="lex",
+                   default="cardinality",
                    help="order clauses by their canonical literals, not by cardinality")
     p.set_defaults(func=_cmd_solve)
 

@@ -11,8 +11,7 @@ survivors.
 from __future__ import annotations
 
 import time
-from bisect import bisect_right
-from itertools import islice
+from itertools import groupby, islice
 from typing import Iterator, NamedTuple, Sequence
 
 from .core import (
@@ -29,11 +28,16 @@ SAT = "SAT"
 UNSAT = "UNSAT"
 RESOURCE_EXCEEDED = "RESOURCE_EXCEEDED"
 
+# each clause order's class key, which sorts the clauses up front, and the
+# key that orders a class once the solve reaches it; no effective clause is
+# empty, so under "lex" (solve --no-sort) every clause is in one class
+ORDERS = {"cardinality": (len, elimination_order_key), "lex": (bool, canonical_literals)}
+
 
 class SolveConfig(NamedTuple):
     node_budget: int = NODE_BUDGET
     report_all_models: bool = False
-    sort_clauses: bool = True
+    order: str = "cardinality"  # a key of ORDERS
     # deterministic effort cap in frontier entries scanned; None = unlimited
     work_budget: int | None = None
 
@@ -84,9 +88,8 @@ def check_sat(f: Formula, cfg: SolveConfig = SolveConfig()) -> SolveResult:
         verdict = SAT
         clauses = effective_clauses(f)
         skipped = len(f.clauses) - len(clauses)
-        # the paper's cardinality-first order, each class ordered once the
-        # solve reaches it; or a deterministic cardinality-blind one, one class
-        clauses.sort(key=len if cfg.sort_clauses else canonical_literals)
+        class_key, order_key = ORDERS[cfg.order]
+        clauses.sort(key=class_key)
         n = len(clauses)
 
         def ordered() -> Iterator[Clause]:
@@ -95,19 +98,16 @@ def check_sat(f: Formula, cfg: SolveConfig = SolveConfig()) -> SolveResult:
             clause left is over registered variables, and none is a subset of
             that FPC: by the sibling-clause result, the rest drops nothing."""
             begin = 0
-            while begin < n:
+            for _, group in groupby(clauses, class_key):
                 if len(tree.frontier) == 1 and all(
                     map(tree.literals.issuperset, islice(clauses, begin, None))
                 ):
                     (fpc,) = decode_fpcs(tree.insertion_order, tree.frontier)
                     if not any(map(fpc.issuperset, islice(clauses, begin, None))):
                         return
-                end = n
-                if cfg.sort_clauses:
-                    end = bisect_right(clauses, len(clauses[begin]), begin, n, key=len)
-                    clauses[begin:end] = sorted(clauses[begin:end], key=elimination_order_key)
-                yield from islice(clauses, begin, end)
-                begin = end
+                group = sorted(group, key=order_key)
+                yield from group
+                begin += len(group)
 
         try:
             tree.eliminate(ordered())

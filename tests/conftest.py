@@ -3,16 +3,9 @@ from contextlib import contextmanager
 
 from hypothesis import strategies as st
 
-from fpcsat.core import (
-    Formula,
-    canonical_literals,
-    effective_clauses,
-    elimination_order_key,
-    literal_key,
-    normalize,
-)
+from fpcsat.core import Formula, effective_clauses, literal_key, normalize
 from fpcsat.instances import complete_minus_one
-from fpcsat.solver import RESOURCE_EXCEEDED, SAT, UNSAT
+from fpcsat.solver import ORDERS, RESOURCE_EXCEEDED, SAT, UNSAT
 from fpcsat.tree import BudgetExceeded, FpcTree
 
 
@@ -135,8 +128,8 @@ def reference_check_sat(f, cfg):
     tree = FpcTree(node_budget=cfg.node_budget, work_limit=cfg.work_budget)
     if report.has_empty_clause:
         return UNSAT, [], [], 0, 0, 0, 0
-    clauses = effective_clauses(f)
-    clauses.sort(key=elimination_order_key if cfg.sort_clauses else canonical_literals)
+    class_key, order_key = ORDERS[cfg.order]
+    clauses = sorted(effective_clauses(f), key=lambda c: (class_key(c), order_key(c)))
     verdict, processed = SAT, 0
     try:
         for c in clauses:

@@ -13,13 +13,6 @@ import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "fpcsat"
 
-# names a module imports but does not use, with the reason each stays
-KEPT = {
-    # perfbench/tracer.py wraps cli.normalize by name; the import goes when
-    # the tracer drops that wrap (CHANGES.md FOUND, ROADMAP item 6)
-    "cli.py": {"normalize"},
-}
-
 
 @pytest.mark.parametrize(
     "module, loaded",
@@ -58,4 +51,4 @@ def unused_imports(path: Path) -> set[str]:
 
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_every_imported_name_is_used(path):
-    assert unused_imports(path) == KEPT.get(path.name, set())
+    assert not unused_imports(path)

@@ -14,9 +14,11 @@ from fpcsat.bench import EXPONENTIAL, fit_growth, run_family
 from fpcsat.core import EMPTY_CLAUSE, Formula, effective_clauses, variables_of
 from fpcsat.instances import disjoint_pairs
 from fpcsat.oracle import brute_force_sat
-from fpcsat.solver import SAT, SolveConfig, check_sat
+from fpcsat.solver import ORDERS, SAT, SolveConfig, check_sat
 
-ORDERS = [True, False]  # sort_clauses: the paper's cardinality order, or --no-sort
+# stable test ids: True for the paper's cardinality order, False for
+# --no-sort; an order not listed here is named by its key
+ORDER_IDS = {"cardinality": "True", "lex": "False"}.get
 # the default corpus, mostly units and pairs, and one of wider clauses with
 # larger peaks
 CORPORA = [
@@ -49,10 +51,10 @@ def prefix_peak(f: Formula, cfg: SolveConfig):
     return result, max(counts)
 
 
-@pytest.mark.parametrize("sort_clauses", ORDERS)
+@pytest.mark.parametrize("order", ORDERS, ids=ORDER_IDS)
 @pytest.mark.parametrize("params", CORPORA)
-def test_peak_is_the_largest_prefix_model_count(params, sort_clauses):
-    cfg = SolveConfig(sort_clauses=sort_clauses)
+def test_peak_is_the_largest_prefix_model_count(params, order):
+    cfg = SolveConfig(order=order)
     for f in corpus(**params):
         result, peak = prefix_peak(f, cfg)
         if EMPTY_CLAUSE in f.clauses:  # decided before the frontier holds anything
@@ -61,10 +63,10 @@ def test_peak_is_the_largest_prefix_model_count(params, sort_clauses):
             assert result.stats.peak_nodes == peak
 
 
-@pytest.mark.parametrize("sort_clauses", ORDERS)
+@pytest.mark.parametrize("order", ORDERS, ids=ORDER_IDS)
 @pytest.mark.parametrize("params", CORPORA)
-def test_all_models_lists_every_model_over_the_effective_variables(params, sort_clauses):
-    cfg = SolveConfig(report_all_models=True, sort_clauses=sort_clauses)
+def test_all_models_lists_every_model_over_the_effective_variables(params, order):
+    cfg = SolveConfig(report_all_models=True, order=order)
     seen_sat = 0
     for f in corpus(**params):
         result = check_sat(f, cfg)
@@ -78,12 +80,12 @@ def test_all_models_lists_every_model_over_the_effective_variables(params, sort_
     assert seen_sat > 20
 
 
-@pytest.mark.parametrize("sort_clauses", ORDERS)
+@pytest.mark.parametrize("order", ORDERS, ids=ORDER_IDS)
 @pytest.mark.parametrize("k", range(1, 11))
-def test_disjoint_pairs_peak_is_four_times_three_to_the_k_minus_one(k, sort_clauses):
+def test_disjoint_pairs_peak_is_four_times_three_to_the_k_minus_one(k, order):
     # the model count 3^k is reached only after the last clause, but the
     # last registration doubles the 2*3^(k-1) models of the first k-1
-    result = check_sat(disjoint_pairs(k), SolveConfig(sort_clauses=sort_clauses))
+    result = check_sat(disjoint_pairs(k), SolveConfig(order=order))
     assert result.verdict == SAT
     assert result.stats.peak_nodes == 4 * 3 ** (k - 1)
 

@@ -6,7 +6,7 @@ from unittest.mock import patch
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from conftest import clause_key, clauses, eliminate_hook, literals, reference_check_sat
+from conftest import clause_key, clauses, corpus, eliminate_hook, literals, reference_check_sat
 from fpcsat import solver
 from fpcsat.core import (
     Formula,
@@ -16,7 +16,8 @@ from fpcsat.core import (
     is_tautology,
     literal_key,
 )
-from fpcsat.solver import SolveConfig, check_sat
+from fpcsat.instances import complete_minus_one
+from fpcsat.solver import ORDERS, SolveConfig, check_sat
 
 
 def reference_literal_key(lit):
@@ -80,11 +81,11 @@ def test_check_sat_processes_clauses_in_reference_order(cs):
     # the empty clause decides the verdict before any ordering
     f = Formula.from_clauses([c for c in cs if c])
     effective = [c for c in f.clauses if not is_tautology(c)]
-    for sort_clauses, key in (
-        (True, reference_elimination_order_key),
-        (False, reference_canonical_literals),
+    for order, key in (
+        ("cardinality", reference_elimination_order_key),
+        ("lex", reference_canonical_literals),
     ):
-        cfg = SolveConfig(sort_clauses=sort_clauses)
+        cfg = SolveConfig(order=order)
         seen = []
         with eliminate_hook(lambda tree, c: seen.append(c)):
             result = check_sat(f, cfg)
@@ -108,3 +109,12 @@ def test_check_sat_processes_clauses_in_reference_order(cs):
         assert seen == expected[: len(seen)]
         if result.verdict != "SAT":
             assert len(seen) >= s.clauses_processed
+
+
+def test_every_order_is_total_on_effective_clauses():
+    # no two distinct clauses share an order's pair of keys, so the order a
+    # solve takes its clauses in never hinges on ties
+    formulas = [*corpus(seed=61, count=200, n_max=10, max_len=5), complete_minus_one(4)]
+    distinct = {c for f in formulas for c in effective_clauses(f)}
+    for name, (class_key, order_key) in ORDERS.items():
+        assert len({(class_key(c), order_key(c)) for c in distinct}) == len(distinct), name

@@ -13,7 +13,7 @@ from fpcsat.core import (
     variables_of,
 )
 from fpcsat.oracle import enumerate_fpcs, falsified_fpc
-from fpcsat.solver import SolveConfig, check_sat
+from fpcsat.solver import ORDERS, SolveConfig, check_sat
 
 PROPERTY = settings(max_examples=1000, deadline=None, derandomize=True)
 
@@ -110,12 +110,12 @@ def test_sibling_relation_symmetric_irreflexive(data):
         max_size=8,
     ),
     st.integers(1, 8),
-    st.booleans(),
+    st.sampled_from(list(ORDERS)),
 )
-def test_adding_tautology_clause_preserves_verdict(clause_list, var, sort):
+def test_adding_tautology_clause_preserves_verdict(clause_list, var, order):
     base = Formula.from_clauses(clause_list)
     noisy = Formula.from_clauses(clause_list + [[var, -var]])
-    cfg = SolveConfig(sort_clauses=sort, report_all_models=True)
+    cfg = SolveConfig(order=order, report_all_models=True)
     a = check_sat(base, cfg)
     b = check_sat(noisy, cfg)
     assert a.verdict == b.verdict

@@ -17,7 +17,7 @@ from fpcsat.solver import SolveConfig, check_sat
 
 CONFIGS = [
     SolveConfig(),
-    SolveConfig(sort_clauses=False),
+    SolveConfig(order="lex"),
     SolveConfig(node_budget=8),
     SolveConfig(node_budget=64),
     SolveConfig(report_all_models=True),

@@ -155,10 +155,7 @@ def test_the_frontier_takes_no_tautology_and_registers_each_variable_once():
 
 
 def test_config_toggles_never_change_verdict():
-    configs = [
-        SolveConfig(sort_clauses=True),
-        SolveConfig(sort_clauses=False),
-    ]
+    configs = [SolveConfig(order=order) for order in solver.ORDERS]
     for f in corpus(seed=59, count=150, n_max=9):
         verdicts = {check_sat(f, cfg).verdict for cfg in configs}
         assert len(verdicts) == 1
@@ -256,7 +253,7 @@ def test_first_model_is_leftmost_dfs():
     "cfg",
     [
         SolveConfig(),
-        SolveConfig(sort_clauses=False),
+        SolveConfig(order="lex"),
         SolveConfig(node_budget=64),
         SolveConfig(node_budget=8),
         SolveConfig(work_budget=50),
@@ -310,8 +307,9 @@ def test_clauses_past_the_last_needed_class_are_never_ordered(monkeypatch):
     # or handed to eliminate, and the rest is charged without either
     f = complete_minus_one(8)
     keyed, taken = [], []
-    key = solver.elimination_order_key
-    monkeypatch.setattr(solver, "elimination_order_key", lambda c: keyed.append(c) or key(c))
+    class_key, key = solver.ORDERS["cardinality"]
+    counted = lambda c: keyed.append(c) or key(c)
+    monkeypatch.setitem(solver.ORDERS, "cardinality", (class_key, counted))
     with eliminate_hook(lambda tree, c: taken.append(c)):
         result = check_sat(f, SolveConfig(report_all_models=True))
     assert 0 < len(keyed) < len(f.clauses) / 10
@@ -331,7 +329,7 @@ UNSAT_3SAT = {(24, 1), (32, 0), (32, 3), (36, 0), (36, 3), (40, 0), (40, 1)}
 def test_random_3sat_verdicts_past_the_oracle_match_dpll(n):
     # unsorted clauses run for seconds or trip the node budget from n = 32
     # on, so they are checked up to 24 only
-    configs = [SolveConfig()] + [SolveConfig(sort_clauses=False)] * (n <= 24)
+    configs = [SolveConfig()] + [SolveConfig(order="lex")] * (n <= 24)
     for s in range(4):
         f = random_3sat(n, round(4.3 * n), random.Random(1000 * n + s))
         expected = SAT if dpll_satisfiable(f) else UNSAT

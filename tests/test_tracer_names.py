@@ -50,7 +50,7 @@ def test_tracer_instruments_every_name(tmp_path):
         ["solve", "CNF"], ["solve", "--no-sort", "CNF"], ["stats", "CNF"], ["preprocess", "CNF"],
     )
     assert codes == [10, 10, 0, 0]
-    assert calls["core.normalize"] == 2  # the two solves; stats counts in profile
+    assert calls["core.normalize"] == 3  # the two solves and stats
     assert calls["core.effective_clauses"] == 2
     # check_sat sorts the list effective_clauses returns, once per solve
     assert calls["solver.order_sort"] == 2

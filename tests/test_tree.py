@@ -393,7 +393,7 @@ def test_check_sat_calls_eliminate_once_per_solve(monkeypatch):
     monkeypatch.setattr(FpcTree, "eliminate", lambda t, cs: calls.append(1) or eliminate(t, cs))
     for f in formulas:
         reaches = not normalize(f).has_empty_clause
-        for cfg in (SolveConfig(), SolveConfig(sort_clauses=False), SolveConfig(node_budget=8),
+        for cfg in (SolveConfig(), SolveConfig(order="lex"), SolveConfig(node_budget=8),
                     SolveConfig(work_budget=40)):
             calls.clear()
             result = check_sat(f, cfg)
