@@ -99,7 +99,7 @@ def check_sat(f: Formula, cfg: SolveConfig = SolveConfig()) -> SolveResult:
             that FPC: by the sibling-clause result, the rest drops nothing."""
             begin = 0
             for _, group in groupby(clauses, class_key):
-                if len(tree.frontier) == 1 and all(
+                if len(tree) == 1 and all(
                     map(tree.literals.issuperset, islice(clauses, begin, None))
                 ):
                     (fpc,) = decode_fpcs(tree.insertion_order, tree.frontier)

@@ -10,12 +10,13 @@ positive literal), as ``sign_bits`` lays it out for every reader of the
 entries.  Before any variable registers, the single entry 0 spells the
 empty clause.
 
-Registering a variable maps each entry ``m`` to ``m<<1`` and ``m<<1|1``.
-Eliminating a clause drops every entry that agrees with the clause on all of
-its variables, i.e. every FPC the clause is a subset of: with ``varmask``
-the clause's bits and ``posmask`` its positive ones, every ``m`` with
-``m & varmask == posmask``.  Plain ascending int order is the tree's
-depth-first order, negative branch first.
+Registering a variable maps each entry ``m`` to ``m<<1`` and ``m<<1|1``,
+in the pass that follows it (below).  Eliminating a clause drops every
+entry that agrees with the clause on all of its variables, i.e. every FPC
+the clause is a subset of: with ``varmask`` the clause's bits and
+``posmask`` its positive ones, every ``m`` with ``m & varmask ==
+posmask``.  Plain ascending int order is the tree's depth-first order,
+negative branch first.
 
 ``eliminate`` registers each variable as the first clause over it arrives,
 so the clauses between two registrations (under the max-variable
@@ -76,22 +77,36 @@ def pack(order: list[int], fpcs: Iterable[Clause]) -> list[int]:
     return [sum(b for v, b in bits if v in c) for c in fpcs]
 
 
+def _spread(base: int, free: int) -> list[int]:
+    """``base`` with each subset of the bits of ``free`` set."""
+    spread = [base]
+    while free:
+        bit = free & -free
+        free ^= bit
+        spread += [p | bit for p in spread]
+    return spread
+
+
 class FpcTree:
     """Mutable single-owner frontier; distinct instances are independent.
 
     ``node_budget`` caps the number of frontier entries (the structure's only
     memory hazard is its 2^n worst case).  ``work`` counts the entries scanned
     by registrations and frontier passes; ``peak_nodes`` is the largest
-    frontier size seen, ``eliminations`` the number of FPCs eliminated, and
-    ``applied`` the number of clauses applied.  Both budgets are checked
-    before a registration or pass mutates anything: a tripped node budget or
-    ``work_limit`` raises ``BudgetExceeded`` and leaves the state as it was.
+    frontier size reached, ``eliminations`` the number of FPCs eliminated,
+    and ``applied`` the number of clauses applied.  The pass after a
+    registration applies it; ``frontier`` applies one still pending when
+    read, and ``len(tree)`` is the size without applying it.  Both budgets
+    are checked before a registration or pass mutates anything: a tripped
+    node budget or ``work_limit`` raises ``BudgetExceeded`` and leaves the
+    state as it was.
     """
 
     def __init__(self, node_budget: int = NODE_BUDGET, work_limit: float | None = None):
         if node_budget < 1:
             raise ValueError("node_budget must be >= 1")
-        self.frontier: list[int] = [0]
+        self._entries: list[int] = [0]  # before the _pending newest registrations
+        self._pending = 0
         self.insertion_order: list[int] = []
         self.node_budget = node_budget
         self.peak_nodes = 1
@@ -102,30 +117,37 @@ class FpcTree:
         # both literals of every registered variable
         self.literals: set[int] = set()
 
+    def __len__(self) -> int:
+        """The frontier's size; unlike ``frontier``, applies nothing."""
+        return len(self._entries) << self._pending
+
+    @property
+    def frontier(self) -> list[int]:
+        """The surviving entries, ascending; applies pending registrations."""
+        if self._pending:
+            self._pass(0, [], self.applied)
+        return self._entries
+
     def _scan(self) -> None:
         """Charge one pass over the frontier, before the pass changes it."""
-        work = self.work + len(self.frontier)
+        work = self.work + len(self)
         if work > self.work_limit:
             raise BudgetExceeded("work")
         self.work = work
 
     def register_variable(self, var: int) -> None:
         """Extend every surviving FPC by both literals of ``var``, which has
-        not registered yet; an empty frontier stays empty.  Raises
-        ``BudgetExceeded("nodes")`` when the doubled frontier would overflow
-        the node budget."""
-        frontier = self.frontier
-        if 2 * len(frontier) > self.node_budget:
+        not registered yet, in the next pass; an empty frontier stays empty.
+        Raises ``BudgetExceeded("nodes")`` when the doubled frontier would
+        overflow the node budget."""
+        doubled = 2 * len(self)
+        if doubled > self.node_budget:
             raise BudgetExceeded("nodes")
         self._scan()
-
-        doubled = [0] * (2 * len(frontier))
-        doubled[0::2] = [m << 1 for m in frontier]
-        doubled[1::2] = [(m << 1) | 1 for m in frontier]
-        self.frontier = doubled
+        self._pending += 1
         self.literals.update((var, -var))
         self.insertion_order.append(var)
-        self.peak_nodes = max(self.peak_nodes, len(doubled))
+        self.peak_nodes = max(self.peak_nodes, doubled)
 
     def eliminate(self, clauses: Iterable[Clause]) -> None:
         """Apply ``clauses``, none of them a tautology, in order, each
@@ -143,7 +165,7 @@ class FpcTree:
         by clause.  The empty clause is a subset of every FPC and closes the
         frontier.  A closed frontier applies nothing.
         """
-        cap = len(self.frontier)
+        cap = len(self)
         if not cap:
             return
         bits = dict(sign_bits(self.insertion_order))
@@ -160,7 +182,7 @@ class FpcTree:
                 for var in sorted({abs(lit) for lit in c - self.literals}):
                     self.register_variable(var)
                 bits = dict(sign_bits(self.insertion_order))
-                cap = len(self.frontier)
+                cap = len(self)
             applied += 1
             varmask = posmask = 0
             for lit in c:
@@ -180,7 +202,7 @@ class FpcTree:
                         continue
                 if self._pass(union, pending, applied - 1):
                     return
-                cap = len(self.frontier)
+                cap = len(self)
             union, size, pending = varmask, 1, [(applied, varmask, posmask)]
         if pending and self._pass(union, pending, applied):
             return
@@ -198,30 +220,39 @@ class FpcTree:
             raise BudgetExceeded("work")
 
     def _pass(self, union: int, pending: list[tuple[int, int, int]], applied: int) -> bool:
-        """Apply the ``pending`` clauses, whose variables make up ``union``,
-        with one filter over the frontier, and return whether it closed.  A
-        closed pass ends at the clause that dropped the last entry, read off
-        the pattern table; any other ends at the ``applied`` count."""
-        self._scan()
-        frontier = self.frontier
-        # each forbidden pattern, with the ``applied`` count of the first
-        # clause that forbids it: earlier clauses overwrite later ones
-        forbidden: dict[int, int] = {}
+        """Apply the pending registrations and the ``pending`` clauses, whose
+        variables make up ``union``, with one filter, and return whether it
+        closed.  A closed pass ends at the clause that dropped the last entry,
+        read off the tables; any other ends at ``applied``.  With no clauses,
+        it charges no scan: each registration charged its own."""
+        if pending:
+            self._scan()
+        entries, j = self._entries, self._pending
+        low, high = (1 << j) - 1, union >> j
+        # per pattern of the j new bits, each forbidden pattern of the old bits
+        # with the ``applied`` count of the first clause that forbids it
+        tables: dict[int, dict[int, int]] = {}
         for n, varmask, posmask in reversed(pending):
-            spread = [posmask]  # the clause's sign patterns over union
             free = union & ~varmask
-            while free:
-                bit = free & -free
-                free ^= bit
-                spread += [p | bit for p in spread]
-            forbidden.update(zip(spread, repeat(n)))
-        kept = [m for m in frontier if m & union not in forbidden]
-        self.frontier = kept
-        self.eliminations += len(frontier) - len(kept)
-        if kept:
+            highs = _spread(posmask >> j, free >> j)
+            for q in _spread(posmask & low, free & low):
+                tables.setdefault(q, {}).update(zip(highs, repeat(n)))
+        kept: list[int] = []
+        for p in range(1 << j):  # kept ends as 2^j ascending runs, merged by sort
+            forbidden = tables.get(p & union)  # a new bit outside union is free
+            if not forbidden:
+                kept += [m << j | p for m in entries]
+            elif j:
+                kept += [m << j | p for m in entries if m & high not in forbidden]
+            else:  # no registration: the kept entries stay the same objects
+                kept = [m for m in entries if m & high not in forbidden]
+        kept.sort()
+        self._entries, self._pending = kept, 0
+        self.eliminations += (len(entries) << j) - len(kept)
+        if kept or not entries:
             self.applied = applied
         else:  # clause by clause, the last entry to go closes the frontier
-            self.applied = max(forbidden[m & union] for m in frontier)
+            self.applied = max(t[m & high] for t in tables.values() for m in entries)
         return not kept
 
     def open_fpcs(self) -> list[Clause]:
