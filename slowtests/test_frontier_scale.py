@@ -3,14 +3,14 @@
 
     PYTHONPATH=src python -m pytest -q slowtests
 
-It reuses the eager reference frontier of ``tests/test_tree.py``."""
+It reuses the eager reference frontier of ``tests/conftest.py``."""
 
 import sys
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
 
-from test_tree import EagerTree  # noqa: E402
+from conftest import EagerTree  # noqa: E402
 
 from fpcsat import solver  # noqa: E402
 from fpcsat.instances import pigeonhole  # noqa: E402

@@ -212,8 +212,6 @@ def _loglog_slope(xs: Sequence[float], ys: Sequence[float]) -> float:
     mx = statistics.fmean(lx)
     my = statistics.fmean(ly)
     denom = sum((x - mx) ** 2 for x in lx)
-    if denom == 0:
-        return 0.0
     return sum((x - mx) * (y - my) for x, y in zip(lx, ly)) / denom
 
 

@@ -121,11 +121,41 @@ def eliminate_hook(hook):
         FpcTree.eliminate = original
 
 
+class EagerTree(FpcTree):
+    """The reference frontier: each registration doubles the entry list at
+    once, and a pass filters it clause by clause, so a closed pass ends at
+    the clause that emptied it.  ``eliminate`` is ``FpcTree``'s, so the
+    passes group alike and ``work`` compares too.  ``reference_check_sat``
+    solves on it, and ``test_tree`` runs ``FpcTree`` against it."""
+
+    def register_variable(self, var):
+        if 2 * len(self._entries) > self.node_budget:
+            raise BudgetExceeded("nodes")
+        self._scan()
+        self._entries = [m << 1 | sign for m in self._entries for sign in (0, 1)]
+        self.literals.update((var, -var))
+        self.insertion_order.append(var)
+        self.peak_nodes = max(self.peak_nodes, len(self._entries))
+
+    def _pass(self, union, pending, applied):
+        self._scan()
+        for n, varmask, posmask in pending:
+            kept = [m for m in self._entries if m & varmask != posmask]
+            self.eliminations += len(self._entries) - len(kept)
+            self._entries = kept
+            if not kept:
+                self.applied = n
+                return True
+        self.applied = applied
+        return False
+
+
 def reference_check_sat(f, cfg):
-    """check_sat as one frontier pass per clause: register the clause's new
-    variables, eliminate it alone, stop when the frontier closes."""
+    """check_sat as one frontier pass per clause on an ``EagerTree``:
+    register the clause's new variables, eliminate it alone, stop when the
+    frontier closes."""
     report = normalize(f)
-    tree = FpcTree(node_budget=cfg.node_budget, work_limit=cfg.work_budget)
+    tree = EagerTree(node_budget=cfg.node_budget, work_limit=cfg.work_budget)
     if report.has_empty_clause:
         return UNSAT, [], [], 0, 0, 0, 0
     class_key, order_key = ORDERS[cfg.order]

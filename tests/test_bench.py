@@ -159,6 +159,10 @@ def test_csv_header_contract():
     buf = io.StringIO()
     write_csv_header(buf)
     assert buf.getvalue().strip() == ",".join(CSV_COLUMNS)
+    # read_csv takes no other header, not even the columns reordered
+    reordered = ",".join(CSV_COLUMNS[1:] + CSV_COLUMNS[:1]) + "\r\n"
+    with pytest.raises(ValueError, match="unexpected CSV header"):
+        read_csv(io.StringIO(reordered))
 
 
 def test_run_family_streams_records():

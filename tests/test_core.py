@@ -3,7 +3,7 @@ import gc
 import pickle
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import clauses
@@ -134,16 +134,6 @@ def test_false_clause_has_all_literals_false(c, data):
     )
     if not evaluate_clause(c, a):
         assert all(a[abs(lit)] != (lit > 0) for lit in c)
-
-
-@settings(max_examples=300)
-@given(clauses(max_var=6), st.data())
-def test_subset_of_false_clause_is_false(c, data):
-    a = data.draw(st.fixed_dictionaries({abs(lit): st.booleans() for lit in c}))
-    if evaluate_clause(c, a):
-        return
-    subset = data.draw(st.sets(st.sampled_from(sorted(c)) if c else st.nothing()))
-    assert not evaluate_clause(frozenset(subset), a)
 
 
 @pytest.fixture

@@ -69,6 +69,8 @@ def test_parse_errors():
         parse_dimacs("p dnf 1 1\n1 0\n")
     with pytest.raises(DimacsError):
         parse_dimacs("p cnf one 1\n1 0\n")
+    with pytest.raises(DimacsError, match="line 1: negative counts in header"):
+        parse_dimacs("p cnf -1 2\n")
     with pytest.raises(DimacsError):
         parse_dimacs("p cnf 1 1\n1 x 0\n")
     with pytest.raises(DimacsError):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import corpus, non_tautologies
+from conftest import EagerTree, corpus, non_tautologies
 from fpcsat.core import effective_clauses, normalize, variables_of
 from fpcsat.oracle import condition_check
 from fpcsat import solver
@@ -495,34 +495,6 @@ def test_pack_inverts_decode_fpcs(case):
     k = len(order)
     for m, fpc in zip(entries, fpcs):
         assert all((m >> (k - 1 - i) & 1) == (v in fpc) for i, v in enumerate(order))
-
-
-class EagerTree(FpcTree):
-    """The reference frontier: each registration doubles the entry list at
-    once, and a pass filters it clause by clause, so a closed pass ends at
-    the clause that emptied it.  ``eliminate`` is ``FpcTree``'s, so the
-    passes group alike and ``work`` compares too."""
-
-    def register_variable(self, var):
-        if 2 * len(self._entries) > self.node_budget:
-            raise BudgetExceeded("nodes")
-        self._scan()
-        self._entries = [m << 1 | sign for m in self._entries for sign in (0, 1)]
-        self.literals.update((var, -var))
-        self.insertion_order.append(var)
-        self.peak_nodes = max(self.peak_nodes, len(self._entries))
-
-    def _pass(self, union, pending, applied):
-        self._scan()
-        for n, varmask, posmask in pending:
-            kept = [m for m in self._entries if m & varmask != posmask]
-            self.eliminations += len(self._entries) - len(kept)
-            self._entries = kept
-            if not kept:
-                self.applied = n
-                return True
-        self.applied = applied
-        return False
 
 
 @st.composite
