@@ -259,11 +259,34 @@ def test_cli_import_leaves_out_unused_modules(module):
 
 
 def test_stats_output(illustration):
-    # stats as a child process; the table below pins every line in-process
     proc = run_cli("stats", illustration)
     assert proc.returncode == 0
     assert "clauses=4" in proc.stdout
     assert "var:1 n_neg=2" in proc.stdout
+
+
+def test_stats_counts_duplicates_tautologies_and_the_empty_clause(tmp_path):
+    path = tmp_path / "noisy.cnf"
+    path.write_text("p cnf 2 5\n1 -1 0\n2 0\n2 0\n0\n-2 1 0\n")
+    proc = run_cli("stats", str(path))
+    assert proc.returncode == 0
+    assert proc.stdout.splitlines()[:6] == [
+        "clauses=4",
+        "effective_clauses=3",
+        "variables=2",
+        "duplicates_removed=1",
+        "tautology_clauses=1",
+        "has_empty_clause=true",
+    ]
+
+
+def test_preprocess_output(tmp_path):
+    path = tmp_path / "forced.cnf"
+    path.write_text("p cnf 2 3\n1 0\n1 2 0\n1 -2 0\n")
+    proc = run_cli("preprocess", str(path))
+    assert proc.returncode == 0
+    assert "var:1 forced_value=1" in proc.stdout
+    assert "proves_unsat=false" in proc.stdout
 
 
 STATS_AND_PREPROCESS_INPUTS = {

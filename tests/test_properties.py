@@ -1,20 +1,21 @@
 """Property tests for the structural clause theorems the solver rests on.
 
-Acceptance criterion c6 (``tests/test_acceptance.py``) checks the four
-lemmas on 1,000 random cases each: a false clause forces its subsets false,
-every sibling of a falsified FPC is true, each assignment falsifies exactly
-one FPC, and tautologies change no verdict (under every clause order in
-``tests/test_solver.py``).  This file keeps only what c6 does not check:
-the sibling relation's symmetry, the truth of tautologies, and the
-exactly-one lemma exhaustively at n = 10."""
+Acceptance criterion c6 (``tests/test_acceptance.py``) checks four lemmas
+on 1,000 random cases each: a false clause forces its subsets false, every
+sibling of a falsified FPC is true, each assignment falsifies exactly one
+FPC, and tautologies change no verdict under the default clause order.
+This file checks the sibling relation's symmetry, the truth of tautologies,
+the exactly-one lemma exhaustively at n = 10, and that a tautology changes
+no verdict under every clause order."""
 
 import itertools
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fpcsat.core import are_siblings, evaluate_clause, is_tautology
+from fpcsat.core import Formula, are_siblings, evaluate_clause, is_tautology
 from fpcsat.oracle import enumerate_fpcs
+from fpcsat.solver import ORDERS, SolveConfig, check_sat
 
 PROPERTY = settings(max_examples=1000, deadline=None, derandomize=True)
 
@@ -61,3 +62,25 @@ def test_sibling_relation_symmetric_irreflexive(data):
     assert not are_siblings(a, a, v)
     assert are_siblings(a, b, v) == are_siblings(b, a, v)
     assert are_siblings(a, b, v) == (a != b)
+
+
+@PROPERTY
+@given(
+    st.lists(
+        st.lists(
+            st.builds(lambda v, neg: -v if neg else v, st.integers(1, 6), st.booleans()),
+            max_size=4,
+        ),
+        max_size=8,
+    ),
+    st.integers(1, 8),
+    st.sampled_from(list(ORDERS)),
+)
+def test_adding_tautology_clause_preserves_verdict(clause_list, var, order):
+    base = Formula.from_clauses(clause_list)
+    noisy = Formula.from_clauses(clause_list + [[var, -var]])
+    cfg = SolveConfig(order=order, report_all_models=True)
+    a = check_sat(base, cfg)
+    b = check_sat(noisy, cfg)
+    assert a.verdict == b.verdict
+    assert a.absent_fpcs == b.absent_fpcs
