@@ -68,16 +68,16 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    from .oracle import brute_force_sat
+    from .oracle import brute_force_sat, falsified_fpc
 
     f = _read_formula(args.file)
     result = brute_force_sat(f)
-    fpcs = result.falsified_fpc_per_model
+    models = result.models if args.all_models else result.models[:1]
     verdict = "SAT" if result.satisfiable else "UNSAT"
-    # pack the FPC each model falsifies as the frontier would, over the
-    # variables every such FPC holds
-    order = sorted(map(abs, fpcs[0])) if fpcs else []
-    entries = pack(order, fpcs if args.all_models else fpcs[:1])
+    # pack the FPC each printed model falsifies as the frontier would, over
+    # the variables every such FPC holds
+    order = sorted(models[0]) if models else []
+    entries = pack(order, map(falsified_fpc, models))
     _print_result(SolveResult(verdict, order, entries))
     return EXIT_CODES[verdict]
 

@@ -24,9 +24,10 @@ tie-break, those whose last variable just registered: a "bucket" of bucket
 elimination) share passes.  A pass applies one clause or several with one
 filter: their forbidden sign patterns over the union ``u`` of their
 variables key a table ``F``, and the pass keeps each ``m`` with
-``m & u not in F``.  ``F`` maps each pattern to the first clause that
-forbids it, so a pass that closes the frontier reads the closing clause off
-the table, with no replay.  The frontier at each registration is the one
+``m & u not in F``.  ``F`` maps each pattern to the index of the first
+clause that forbids it.  A pass counts the clauses it applies: all of them,
+or, when it closes the frontier, those up to the closing clause, read off
+``F`` with no replay.  The frontier at each registration is the one
 clause-by-clause passes leave; only ``work``, the count of entries scanned,
 is smaller.
 
@@ -125,7 +126,7 @@ class FpcTree:
     def frontier(self) -> list[int]:
         """The surviving entries, ascending; applies pending registrations."""
         if self._pending:
-            self._pass(0, [], self.applied)
+            self._pass(0, [])
         return self._entries
 
     def _scan(self) -> None:
@@ -160,30 +161,28 @@ class FpcTree:
         patterns over the union of their variables number no more than the
         entries in it (counted before overlaps merge), so building the
         patterns costs no more than the pass they save.  Every pass is one
-        filter (``_pass``), which also names the closing clause.  The
-        frontier, ``eliminations`` and ``applied`` end as they would clause
-        by clause.  The empty clause is a subset of every FPC and closes the
+        filter (``_pass``) that counts the clauses it applies, up to the
+        closing clause when it closes the frontier, so the frontier,
+        ``eliminations`` and ``applied`` end as they would clause by
+        clause.  The empty clause is a subset of every FPC and closes the
         frontier.  A closed frontier applies nothing.
         """
         cap = len(self)
         if not cap:
             return
         bits = dict(sign_bits(self.insertion_order))
-        applied = self.applied
-        # the pending pass: its clauses' masks, each with the ``applied``
-        # count it ends at, and their sign patterns over ``union``, counted
-        # before overlaps merge
+        # the pending pass: its clauses' masks, and their sign patterns over
+        # ``union``, counted before overlaps merge
         union, size, pending = 0, 0, []
         for c in clauses:
             if not self.literals.issuperset(c):
-                if pending and self._pass(union, pending, applied):
+                if pending and self._pass(union, pending):
                     return
-                self.applied, pending = applied, []
+                pending = []
                 for var in sorted({abs(lit) for lit in c - self.literals}):
                     self.register_variable(var)
                 bits = dict(sign_bits(self.insertion_order))
                 cap = len(self)
-            applied += 1
             varmask = posmask = 0
             for lit in c:
                 bit = bits[abs(lit)]
@@ -198,15 +197,14 @@ class FpcTree:
                     if grown <= cap:  # the clause joins the pending pass
                         union |= varmask
                         size = grown
-                        pending.append((applied, varmask, posmask))
+                        pending.append((varmask, posmask))
                         continue
-                if self._pass(union, pending, applied - 1):
+                if self._pass(union, pending):
                     return
                 cap = len(self)
-            union, size, pending = varmask, 1, [(applied, varmask, posmask)]
-        if pending and self._pass(union, pending, applied):
-            return
-        self.applied = applied
+            union, size, pending = varmask, 1, [(varmask, posmask)]
+        if pending:
+            self._pass(union, pending)
 
     def charge(self, count: int) -> None:
         """Apply ``count`` clauses known to drop nothing from a one-entry
@@ -219,24 +217,24 @@ class FpcTree:
         if fit < count:
             raise BudgetExceeded("work")
 
-    def _pass(self, union: int, pending: list[tuple[int, int, int]], applied: int) -> bool:
+    def _pass(self, union: int, pending: list[tuple[int, int]]) -> bool:
         """Apply the pending registrations and the ``pending`` clauses, whose
         variables make up ``union``, with one filter, and return whether it
-        closed.  A closed pass ends at the clause that dropped the last entry,
-        read off the tables; any other ends at ``applied``.  With no clauses,
-        it charges no scan: each registration charged its own."""
+        closed.  It adds the clauses it applied to ``applied``: if it closed,
+        up to the one that dropped the last entry, read off the tables.  With
+        no clauses, it charges no scan: each registration charged its own."""
         if pending:
             self._scan()
         entries, j = self._entries, self._pending
         low, high = (1 << j) - 1, union >> j
         # per pattern of the j new bits, each forbidden pattern of the old bits
-        # with the ``applied`` count of the first clause that forbids it
+        # with the index in ``pending`` of the first clause that forbids it
         tables: dict[int, dict[int, int]] = {}
-        for n, varmask, posmask in reversed(pending):
+        for i, (varmask, posmask) in reversed([*enumerate(pending)]):
             free = union & ~varmask
             highs = _spread(posmask >> j, free >> j)
             for q in _spread(posmask & low, free & low):
-                tables.setdefault(q, {}).update(zip(highs, repeat(n)))
+                tables.setdefault(q, {}).update(zip(highs, repeat(i)))
         kept: list[int] = []
         for p in range(1 << j):  # kept ends as 2^j ascending runs, merged by sort
             forbidden = tables.get(p & union)  # a new bit outside union is free
@@ -250,9 +248,9 @@ class FpcTree:
         self._entries, self._pending = kept, 0
         self.eliminations += (len(entries) << j) - len(kept)
         if kept or not entries:
-            self.applied = applied
+            self.applied += len(pending)
         else:  # clause by clause, the last entry to go closes the frontier
-            self.applied = max(t[m & high] for t in tables.values() for m in entries)
+            self.applied += 1 + max(t[m & high] for t in tables.values() for m in entries)
         return not kept
 
     def open_fpcs(self) -> list[Clause]:

@@ -137,16 +137,15 @@ class EagerTree(FpcTree):
         self.insertion_order.append(var)
         self.peak_nodes = max(self.peak_nodes, len(self._entries))
 
-    def _pass(self, union, pending, applied):
+    def _pass(self, union, pending):
         self._scan()
-        for n, varmask, posmask in pending:
+        for varmask, posmask in pending:
             kept = [m for m in self._entries if m & varmask != posmask]
             self.eliminations += len(self._entries) - len(kept)
             self._entries = kept
+            self.applied += 1
             if not kept:
-                self.applied = n
                 return True
-        self.applied = applied
         return False
 
 

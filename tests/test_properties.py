@@ -4,9 +4,10 @@ Acceptance criterion c6 (``tests/test_acceptance.py``) checks four lemmas
 on 1,000 random cases each: a false clause forces its subsets false, every
 sibling of a falsified FPC is true, each assignment falsifies exactly one
 FPC, and tautologies change no verdict under the default clause order.
-This file checks the sibling relation's symmetry, the truth of tautologies,
-the exactly-one lemma exhaustively at n = 10, and that a tautology changes
-no verdict under every clause order."""
+This file checks the sibling relation's symmetry, the truth of tautologies
+exhaustively over six variables, the exactly-one lemma exhaustively at n = 0
+and n = 10, and that a tautology changes no verdict under every clause
+order."""
 
 import itertools
 
@@ -14,41 +15,41 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fpcsat.core import Formula, are_siblings, evaluate_clause, is_tautology
-from fpcsat.oracle import enumerate_fpcs
+from fpcsat.oracle import enumerate_fpcs, falsified_fpc
 from fpcsat.solver import ORDERS, SolveConfig, check_sat
 
 PROPERTY = settings(max_examples=1000, deadline=None, derandomize=True)
 
 
 def test_exactly_one_falsified_fpc_exhaustive_n10():
-    # all 1024 assignments against all 1024 FPCs over ten variables
-    n = 10
-    full = (1 << n) - 1
-    fpcs = [
-        sum(1 << j for j, s in enumerate(signs) if s == 1)
-        for signs in itertools.product((1, -1), repeat=n)
-    ]
-    for a in range(1 << n):
-        matches = 0
-        for pos in fpcs:
-            neg = full ^ pos
-            # falsified: no positive literal true and no negative literal true
-            if (pos & a) == 0 and (neg & (full ^ a)) == 0:
-                matches += 1
-        assert matches == 1
+    # every assignment over ten variables, and the empty one, whose only FPC
+    # is the empty clause, falsifies exactly the FPC falsified_fpc names
+    for n in (0, 10):
+        variables = range(1, n + 1)
+        fpcs = enumerate_fpcs(frozenset(variables))
+        for values in itertools.product((False, True), repeat=n):
+            a = dict(zip(variables, values))
+            assert [c for c in fpcs if not evaluate_clause(c, a)] == [falsified_fpc(a)]
 
 
-@PROPERTY
-@given(st.frozensets(st.integers(1, 6), min_size=1, max_size=6), st.data())
-def test_tautology_clause_true_under_all_assignments(v, data):
-    variables = sorted(v)
-    pivot = data.draw(st.sampled_from(variables))
-    extra = data.draw(st.sets(st.sampled_from(variables)))
-    c = frozenset({pivot, -pivot} | {e for e in extra})
-    assert is_tautology(c)
-    for bits in range(1 << len(variables)):
-        a = {var: bool((bits >> j) & 1) for j, var in enumerate(variables)}
-        assert evaluate_clause(c, a)
+def subsets(items):
+    return itertools.chain.from_iterable(
+        itertools.combinations(items, k) for k in range(len(items) + 1)
+    )
+
+
+def test_tautology_clause_true_under_all_assignments():
+    # every nonempty subset of {1..6}, every pivot in it and every set of
+    # extra positive literals from it, under every assignment
+    for variables in subsets(range(1, 7)):
+        assignments = [
+            dict(zip(variables, values))
+            for values in itertools.product((False, True), repeat=len(variables))
+        ]
+        for pivot, extra in itertools.product(variables, subsets(variables)):
+            c = frozenset({pivot, -pivot, *extra})
+            assert is_tautology(c)
+            assert all(evaluate_clause(c, a) for a in assignments)
 
 
 @PROPERTY

@@ -1,3 +1,4 @@
+import inspect
 import math
 import random
 import tracemalloc
@@ -525,6 +526,18 @@ def interleavings(draw):
 def counters(t):
     """What a tree reports without applying a pending registration."""
     return (len(t), t.insertion_order, t.work, t.peak_nodes, t.eliminations, t.applied)
+
+
+def test_eager_reference_overrides_fpc_tree_methods():
+    # after a rename in FpcTree, an override of the old name would go unused
+    # and every comparison with the reference would check FpcTree against itself
+    methods = {name: m for name, m in vars(EagerTree).items() if inspect.isfunction(m)}
+    assert methods
+    for name, method in methods.items():
+        base = vars(FpcTree).get(name)
+        assert inspect.isfunction(base), name
+        params = inspect.signature(method).parameters, inspect.signature(base).parameters
+        assert list(params[0]) == list(params[1]), name
 
 
 @settings(max_examples=400, deadline=None)
